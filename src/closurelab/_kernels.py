@@ -1,8 +1,7 @@
-"""Pure-Python chain kernels.
+"""Chain kernels: the hot geometric loops of closurelab, in plain Python.
 
-Reference implementation of the hot geometric kernels; the compiled backend
-(`closurelab._kernels._fast`) mirrors it statement for statement so the two
-produce identical floating-point results.
+Every chain step is closed-form: the tangency conditions reduce to
+quadratics in the tangent of a half angle, so no step searches for roots.
 
 All functions work in the canonical frame: outer circle of radius R centred at
 the origin, inner circle of radius r centred at (d, 0), with d >= 0 and
@@ -28,13 +27,9 @@ BAD_ANNULUS = 3
 
 TWO_PI = 2.0 * math.pi
 
-_BRACKETS = 64
-_BISECT_TOL = 1e-12
-_NEWTON_TOL = 1e-15
 _EXCLUDE_REL = 1e-7
 _ANGLE_TIE = 1e-12
 _SEP_TIE_REL = 1e-12
-_DEDUPE_REL = 1e-9
 
 
 def wrap_2pi(x):
@@ -89,166 +84,69 @@ def chord_points(R, r, d, phi):
     return tx, ty, tx - s1 * sp, ty + s1 * cp, tx - s2 * sp, ty + s2 * cp
 
 
-def _chord_g(d, r, ux, uy, ct, ecx, ae, be, E):
-    # Tangency-to-the-chord condition evaluated on the ellipse of centres:
-    # zero exactly at the centres of the circles tangent to the chord.
-    x = ecx + ae * math.cos(E)
-    y = be * math.sin(E)
-    return math.hypot(x - d, y) - r + (ux * x + uy * y - ct)
+def _half_angle_roots(a, b, c):
+    """Both roots gamma in (-pi, pi) of a t^2 + b t + c = 0, t = tan(gamma/2).
+
+    Callers pass a > 0 and c < 0, so the roots are real, distinct and of
+    opposite sign; each is taken from the product or the sum of the roots
+    so that neither suffers cancellation.
+    """
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+    return 2.0 * math.atan(q / a), 2.0 * math.atan(c / q)
 
 
 def tangent_circles_to_chord(R, r, d, phi):
     """Inscribed circles tangent to the chord whose inner tangency is at phi.
 
-    The centres lie on the ellipse with foci at both circle centres and axis
-    sum R + r; the chord-tangency condition is bracketed over 64 nodes of the
-    eccentric anomaly, bisected, and polished with Newton on the three
-    tangency residuals.  Returns a list of 0..2 (x, y, rho) triples ordered by
-    anomaly.
+    With K = (R+r)^2 - d^2 the inscribed circle at inner angle beta has
+    r + rho = K / (2 (R + r + d cos beta)), so tangency to the chord reads
+    K cos(beta - phi) = 3r^2 + 2rR - R^2 + d^2 + 4rd cos beta.  In
+    t = tan((beta - phi)/2) that is the quadratic
+    2r(R + r - d cos phi) t^2 - 4rd sin(phi) t - N(phi) = 0 with
+    N(phi) = R^2 - d^2 - r^2 - 2rd cos phi > 0: one circle on each side
+    of the tangency point.  The quadratic is solved at R = 1, since its
+    roots do not depend on scale.  Returns the two (x, y, rho) triples in
+    ascending order of their inner-tangency angle in [0, 2*pi).
     """
-    ux = math.cos(phi)
-    uy = math.sin(phi)
-    ct = d * ux + r
-    ecx = 0.5 * d
-    ae = 0.5 * (R + r)
-    be = math.sqrt(ae * ae - ecx * ecx)
-
-    h = TWO_PI / _BRACKETS
-    gs = [_chord_g(d, r, ux, uy, ct, ecx, ae, be, j * h) for j in range(_BRACKETS)]
-    roots = []
-    for j in range(_BRACKETS):
-        a = j * h
-        b = a + h
-        ga = gs[j]
-        gb = gs[j + 1] if j + 1 < _BRACKETS else gs[0]
-        if ga == 0.0:
-            roots.append(a)
-            continue
-        if gb == 0.0 or (ga < 0.0) == (gb < 0.0):
-            continue
-        while b - a > _BISECT_TOL:
-            m = 0.5 * (a + b)
-            gm = _chord_g(d, r, ux, uy, ct, ecx, ae, be, m)
-            if gm == 0.0:
-                a = m
-                b = m
-                break
-            if (ga < 0.0) != (gm < 0.0):
-                b = m
-            else:
-                a = m
-                ga = gm
-        roots.append(0.5 * (a + b))
-
-    out = []
-    for E in roots:
-        x = ecx + ae * math.cos(E)
-        y = be * math.sin(E)
-        rho = ct - (ux * x + uy * y)
-        for _ in range(12):
-            n1 = math.hypot(x, y)
-            n2 = math.hypot(x - d, y)
-            if n1 == 0.0 or n2 == 0.0:
-                break
-            f1 = n1 - (R - rho)
-            f2 = n2 - (r + rho)
-            f3 = (ux * x + uy * y - ct) + rho
-            if max(abs(f1), abs(f2), abs(f3)) <= _NEWTON_TOL * R:
-                break
-            a11 = x / n1
-            a12 = y / n1
-            a21 = (x - d) / n2
-            a22 = y / n2
-            det = (a11 * (a22 + uy) - a12 * (a21 + ux)
-                   + (a21 * uy - a22 * ux))
-            if det == 0.0:
-                break
-            b1 = -f1
-            b2 = -f2
-            b3 = -f3
-            dx = b1 * (a22 + uy) - a12 * (b2 + b3) + (b2 * uy - a22 * b3)
-            dy = a11 * (b2 + b3) - b1 * (a21 + ux) + (a21 * b3 - b2 * ux)
-            dr = a11 * (a22 * b3 - b2 * uy) - a12 * (a21 * b3 - b2 * ux) + b1 * (a21 * uy - a22 * ux)
-            x += dx / det
-            y += dy / det
-            rho += dr / det
-        dup = False
-        for px, py, _ in out:
-            if math.hypot(x - px, y - py) < _DEDUPE_REL * R:
-                dup = True
-                break
-        if not dup:
-            out.append((x, y, rho))
-    return out
-
-
-def _steiner_f(R, r, d, x1, y1, rho1, beta):
-    x, y, rho = inscribed_center(R, r, d, beta)
-    return math.hypot(x - x1, y - y1) - rho1 - rho
+    u = r / R
+    e = d / R
+    cp = math.cos(phi)
+    sp = math.sin(phi)
+    n = 1.0 - e * e - u * u - 2.0 * u * e * cp
+    g1, g2 = _half_angle_roots(2.0 * u * (1.0 + u - e * cp),
+                               -4.0 * u * e * sp, -n)
+    b1 = wrap_2pi(phi + g1)
+    b2 = wrap_2pi(phi + g2)
+    if b2 < b1:
+        b1, b2 = b2, b1
+    return [inscribed_center(R, r, d, b1), inscribed_center(R, r, d, b2)]
 
 
 def steiner_pair(R, r, d, alpha):
     """Inner-tangency angles of the two inscribed circles tangent to the
-    inscribed circle at angle alpha.  Bracketed bisection plus a short Newton
-    polish with the analytic derivative; returns 0..2 angles in [0, 2*pi)."""
-    x1, y1, rho1 = inscribed_center(R, r, d, alpha)
-    h = TWO_PI / _BRACKETS
-    gs = [_steiner_f(R, r, d, x1, y1, rho1, j * h) for j in range(_BRACKETS)]
-    betas = []
-    for j in range(_BRACKETS):
-        a = j * h
-        b = a + h
-        ga = gs[j]
-        gb = gs[j + 1] if j + 1 < _BRACKETS else gs[0]
-        if ga == 0.0:
-            betas.append(a)
-            continue
-        if gb == 0.0 or (ga < 0.0) == (gb < 0.0):
-            continue
-        while b - a > _BISECT_TOL:
-            m = 0.5 * (a + b)
-            gm = _steiner_f(R, r, d, x1, y1, rho1, m)
-            if gm == 0.0:
-                a = m
-                b = m
-                break
-            if (ga < 0.0) != (gm < 0.0):
-                b = m
-            else:
-                a = m
-                ga = gm
-        beta = 0.5 * (a + b)
-        sum2 = (R + r) * (R + r) - d * d
-        for _ in range(4):
-            cb = math.cos(beta)
-            sb = math.sin(beta)
-            den = R + r + d * cb
-            rho = (R * R - d * d - r * r - 2.0 * r * d * cb) / (2.0 * den)
-            rhop = d * sb * sum2 / (2.0 * den * den)
-            x = d + (r + rho) * cb
-            y = (r + rho) * sb
-            dist = math.hypot(x - x1, y - y1)
-            if dist == 0.0:
-                break
-            f = dist - rho1 - rho
-            dxb = rhop * cb - (r + rho) * sb
-            dyb = rhop * sb + (r + rho) * cb
-            fp = ((x - x1) * dxb + (y - y1) * dyb) / dist - rhop
-            if fp == 0.0:
-                break
-            beta -= f / fp
-        betas.append(wrap_2pi(beta))
+    inscribed circle at alpha, ascending in [0, 2*pi).
 
-    out = []
-    for beta in betas:
-        dup = False
-        for prev in out:
-            if abs(wrap_pi(beta - prev)) < _ANGLE_TIE:
-                dup = True
-                break
-        if not dup:
-            out.append(beta)
-    return out
+    Two inscribed circles at alpha and beta touch exactly when
+    K^2 (1 - cos(beta - alpha)) = 2 N(alpha) N(beta), with K and N as in
+    tangent_circles_to_chord.  In t = tan((beta - alpha)/2) that is
+    (K^2 - M^2 + 4r^2d^2 cos^2 alpha) t^2 - 4rd N(alpha) sin(alpha) t
+    - N(alpha)^2 = 0 with M = R^2 - d^2 - r^2.  K^2 - M^2 is computed as
+    4r(R + r)(R(R + r) - d^2), which is positive on every annulus, so
+    there is one neighbour on each side.  Solved at R = 1 like the chord
+    quadratic.  At d = 0 the roots are +-2 asin((R-r)/(R+r)).
+    """
+    u = r / R
+    e = d / R
+    ca = math.cos(alpha)
+    sa = math.sin(alpha)
+    rdc = 2.0 * u * e * ca
+    n = 1.0 - e * e - u * u - rdc
+    g1, g2 = _half_angle_roots(
+        4.0 * u * (1.0 + u) * (1.0 + u - e * e) + rdc * rdc,
+        -4.0 * u * e * n * sa, -n * n)
+    b1 = wrap_2pi(alpha + g1)
+    b2 = wrap_2pi(alpha + g2)
+    return [b1, b2] if b1 <= b2 else [b2, b1]
 
 
 def _sep_circle(alpha, x1, y1, ein_x, ein_y, eout_x, eout_y):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import _kernels as kern
 from .errors import ChainError, DeadEndError, DomainError, TieError
@@ -31,6 +31,8 @@ from .geometry import (
 )
 
 PROGRESS_TOL = 1e-7
+# Fewest seeds a seed-grid verdict may rest on.
+MIN_SEEDS = 8
 
 CLOSED_EVERYWHERE = "closed-everywhere"
 CLOSED_NOWHERE = "closed-nowhere"
@@ -160,16 +162,18 @@ def _to_kernel(a: Annulus, elem: ChainElement):
     return ("s", wrap_2pi(elem.omega_contact - beta), ex, ey, 1)
 
 
-def _raise_for(status: int, index: int, elements) -> None:
+def _raise_for(status: int, index: Optional[int] = None,
+               elements=()) -> None:
+    where = "" if index is None else f" at index {index}"
     if status == kern.DEAD_END:
         raise DeadEndError(
-            f"no successor satisfies the separation condition at index {index}",
+            f"no successor satisfies the separation condition{where}",
             index=index, elements=elements)
     if status == kern.TIE:
         raise TieError(
-            f"successor choice is ambiguous within tolerance at index {index}",
+            f"successor choice is ambiguous within tolerance{where}",
             index=index, elements=elements)
-    raise ChainError(f"chain failed with status {status} at index {index}",
+    raise ChainError(f"chain failed with status {status}{where}",
                      index=index, elements=elements)
 
 
@@ -231,18 +235,33 @@ def run_chain(a: Annulus, w: Word, seed: ChainElement,
 
 def monodromy_defect(a: Annulus, w: Word, theta: float,
                      orientation: int = 1) -> float:
-    """Defect of the chain seeded at world angle theta."""
+    """Defect of the chain seeded at world angle theta.
+
+    A chain that fails raises the ChainError subclass for its status
+    without index or elements; run_chain reports the partial chain.
+    """
     alpha = wrap_2pi(theta - a.axis_angle)
     status, defect = kern.chain_defect(a.R, a.r, a.d, w.letters, alpha,
                                        orientation)
     if status != kern.OK:
-        run = kern.chain_run(a.R, a.r, a.d, w.letters, alpha, orientation)
-        _raise_for(status, run[1], [_to_world(a, e) for e in run[2]])
+        _raise_for(status)
     return defect
 
 
-def is_closure_config(a: Annulus, w: Word, grid_size: int = 64,
-                      tol: float = 1e-8) -> str:
+class SeedSweep(NamedTuple):
+    """Closure verdict over a seed grid and the seed that realizes it.
+
+    theta is the seed with the largest |defect| and defect that value;
+    when no seed completes, theta is the first dead seed and defect None.
+    """
+
+    verdict: str
+    theta: float
+    defect: Optional[float]
+
+
+def closure_sweep(a: Annulus, w: Word, grid_size: int = 64,
+                  tol: float = 1e-8) -> SeedSweep:
     """All-or-nothing closure verdict over a uniform seed grid.
 
     closed-everywhere: every seed runs to completion and the worst |defect|
@@ -250,20 +269,35 @@ def is_closure_config(a: Annulus, w: Word, grid_size: int = 64,
     has |defect| above 10*tol.  Anything in between is mixed, which signals
     a word without the all-or-nothing property or numerical trouble.
     """
-    if grid_size < 8:
-        raise DomainError(f"grid size must be at least 8, got {grid_size}")
-    defects = []
-    dead = 0
+    if grid_size < MIN_SEEDS:
+        raise DomainError(f"grid size must be at least {MIN_SEEDS}, "
+                          f"got {grid_size}")
+    worst_theta = first_dead = None
+    worst = best = None
     for i in range(grid_size):
         theta = 2.0 * math.pi * i / grid_size
         try:
-            defects.append(abs(monodromy_defect(a, w, theta)))
+            gap = abs(monodromy_defect(a, w, theta))
         except ChainError:
-            dead += 1
-    if not defects:
-        return CLOSED_NOWHERE
-    if dead == 0 and max(defects) < tol:
-        return CLOSED_EVERYWHERE
-    if min(defects) > 10.0 * tol:
-        return CLOSED_NOWHERE
-    return MIXED
+            if first_dead is None:
+                first_dead = theta
+            continue
+        if worst is None or gap > worst:
+            worst_theta, worst = theta, gap
+        if best is None or gap < best:
+            best = gap
+    if worst is None:
+        return SeedSweep(CLOSED_NOWHERE, first_dead, None)
+    if first_dead is None and worst < tol:
+        verdict = CLOSED_EVERYWHERE
+    elif best > 10.0 * tol:
+        verdict = CLOSED_NOWHERE
+    else:
+        verdict = MIXED
+    return SeedSweep(verdict, worst_theta, worst)
+
+
+def is_closure_config(a: Annulus, w: Word, grid_size: int = 64,
+                      tol: float = 1e-8) -> str:
+    """The verdict of closure_sweep alone."""
+    return closure_sweep(a, w, grid_size, tol).verdict

@@ -19,6 +19,8 @@ from .errors import DegeneracyError, DomainError
 
 TANGENCY_TOL = 1e-9
 COMPARISON_TOL = 1e-7
+SCALE_MIN = 1e-150
+SCALE_MAX = 1e150
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,12 +105,22 @@ class Circle:
 
 @dataclass(frozen=True)
 class Annulus:
-    """Inner circle strictly inside the outer circle (d + r < R)."""
+    """Inner circle strictly inside the outer circle (d + r < R).
+
+    Both radii lie in [SCALE_MIN, SCALE_MAX], so that the squared lengths
+    and the radius ratio the chain kernel works with stay finite and
+    nonzero.
+    """
 
     outer: Circle
     inner: Circle
 
     def __post_init__(self):
+        for radius in (self.outer.radius, self.inner.radius):
+            if not SCALE_MIN <= radius <= SCALE_MAX:
+                raise DomainError(
+                    f"radii must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}], "
+                    f"got {radius!r}")
         d = self.outer.center.distance(self.inner.center)
         if not d + self.inner.radius < self.outer.radius:
             raise DomainError(

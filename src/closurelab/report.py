@@ -11,6 +11,7 @@ exactly when every recorded check passed.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
@@ -80,9 +81,13 @@ class SceneConfig:
                     values[key] = int(values[key])
                 elif key == "word":
                     values[key] = str(values[key])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise DomainError(f"config key {key!r} has a bad value: "
                                   f"{values[key]!r}")
+            if isinstance(values[key], float) and \
+                    not math.isfinite(values[key]):
+                raise DomainError(f"config key {key!r} must be finite, "
+                                  f"got {values[key]!r}")
         return cls(**values)
 
     def annulus(self) -> Annulus:
@@ -159,8 +164,21 @@ class Report:
         return view
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True,
+        """The report as JSON; a non-finite float is written as the string
+        "inf", "-inf" or "nan", so a failed check can always be reported."""
+        return json.dumps(_finite(self.as_dict()), indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
+
+
+def _finite(value):
+    """value with every non-finite float replaced by its repr string."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
 
 
 def diagnostic_report(command: str, inputs: dict, error: Exception) -> Report:

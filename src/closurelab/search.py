@@ -3,7 +3,7 @@
 With the outer radius fixed at 1, every annulus is a point of the open
 triangle {(r, d) : r > 0, d >= 0, r + d < 1}.  This module scans the
 monodromy defect of a word over that triangle, traces the zero locus of
-the defect by bisection along sign-changing grid edges, certifies traced
+the defect by regula falsi along sign-changing grid edges, certifies traced
 loci against seed independence, enumerates candidate words up to cyclic
 rotation and reversal, fits polynomial relations in (R, r, d) to traced
 loci, and compares a word's locus with the locus of its powers.
@@ -27,13 +27,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import _kernels as kern
-from .chains import (
-    CLOSED_EVERYWHERE,
-    Word,
-    is_closure_config,
-    monodromy_defect,
-)
-from .errors import ChainError, DomainError
+from .chains import CLOSED_EVERYWHERE, Word, closure_sweep
+from .errors import DomainError
 from .geometry import Annulus
 
 LOCUS_TOL = 1e-10
@@ -239,9 +234,17 @@ class ZeroLocus:
 
 
 def _bisect_edge(letters: str, p_neg, f_neg: float, p_pos, f_pos: float):
-    """Zero of the defect on the segment p_neg..p_pos, or None."""
+    """Zero of the defect on the segment p_neg..p_pos, or None.
+
+    Illinois regula falsi: the false-position point of the bracket, with
+    the function value of an end kept twice in a row halved so that both
+    ends keep moving.
+    """
+    kept = 0  # +1 when p_pos was kept last time, -1 for p_neg
     for _ in range(_BISECT_MAX):
-        mid = (0.5 * (p_neg[0] + p_pos[0]), 0.5 * (p_neg[1] + p_pos[1]))
+        t = f_neg / (f_neg - f_pos)
+        mid = (p_neg[0] + t * (p_pos[0] - p_neg[0]),
+               p_neg[1] + t * (p_pos[1] - p_neg[1]))
         code, fm = kern.chain_defect(1.0, mid[0], mid[1], letters, 0.0, 1)
         if code != kern.OK:
             return None
@@ -249,8 +252,14 @@ def _bisect_edge(letters: str, p_neg, f_neg: float, p_pos, f_pos: float):
             return mid
         if fm < 0.0:
             p_neg, f_neg = mid, fm
+            if kept == 1:
+                f_pos *= 0.5
+            kept = 1
         else:
             p_pos, f_pos = mid, fm
+            if kept == -1:
+                f_neg *= 0.5
+            kept = -1
         if (abs(p_pos[0] - p_neg[0]) + abs(p_pos[1] - p_neg[1])) < 1e-16:
             return None
     return None
@@ -260,7 +269,7 @@ def trace_zero_locus(w: Word, grid: DefectGrid) -> ZeroLocus:
     """Polylines through the sign changes of the grid.
 
     Each edge between two completed cells whose defects change sign is
-    bisected to |defect| < LOCUS_TOL; edges touching a marked cell are
+    refined to |defect| < LOCUS_TOL; edges touching a marked cell are
     skipped, as are jumps of pi or more, which are wrap-around artifacts
     of the angle-valued defect rather than zeros.  A cell whose defect
     is exactly zero is itself a locus point; its edges carry no sign
@@ -371,52 +380,37 @@ class CertificationReport:
     counterexamples: tuple[Counterexample, ...]
 
 
-def _worst_seed(a: Annulus, w: Word, thetas: int):
-    """Seed angle with the largest defect; a dead seed if none complete."""
-    worst = None
-    first_dead = None
-    for i in range(thetas):
-        theta = 2.0 * math.pi * i / thetas
-        try:
-            gap = abs(monodromy_defect(a, w, theta))
-        except ChainError:
-            if first_dead is None:
-                first_dead = theta
-            continue
-        if worst is None or gap > worst[1]:
-            worst = (theta, gap)
-    if worst is not None:
-        return worst
-    return first_dead, None
-
-
 def certify_closure_sequence(w: Word, locus: ZeroLocus, thetas: int = 32,
                              tol: float = CERTIFY_TOL) -> CertificationReport:
     """Seed-independence check of every locus point.
 
-    A point passes when is_closure_config reports closed-everywhere over
-    a thetas-point seed grid; the word is certified on the locus only if
+    A point passes when closure_sweep reports closed-everywhere over a
+    thetas-point seed grid; the word is certified on the locus only if
     every point passes.  Failing points come back as counterexamples
     carrying the seed angle that realizes the worst defect.
     """
     if not locus.points:
         raise DomainError("cannot certify an empty locus")
-    if thetas < 8:
-        raise DomainError(f"need at least 8 seed angles, got {thetas}")
+    verdicts, flags, bad = _sweep_points(w, locus.points, thetas, tol)
+    return CertificationReport(w, locus.with_certification(flags),
+                               tuple(verdicts), all(flags), tuple(bad))
+
+
+def _sweep_points(w: Word, points, thetas: int, tol: float):
+    """Verdict and pass flag per (r, d) point, and the failing points as
+    counterexamples, from one seed sweep per point."""
     verdicts = []
     flags = []
     bad = []
-    for r, d in locus.points:
-        a = Annulus.canonical(1.0, r, d)
-        verdict = is_closure_config(a, w, grid_size=thetas, tol=tol)
-        verdicts.append(verdict)
-        passed = verdict == CLOSED_EVERYWHERE
+    for r, d in points:
+        sweep = closure_sweep(Annulus.canonical(1.0, r, d), w, thetas, tol)
+        verdicts.append(sweep.verdict)
+        passed = sweep.verdict == CLOSED_EVERYWHERE
         flags.append(passed)
         if not passed:
-            theta, gap = _worst_seed(a, w, thetas)
-            bad.append(Counterexample(r, d, verdict, theta, gap))
-    return CertificationReport(w, locus.with_certification(flags),
-                               tuple(verdicts), all(flags), tuple(bad))
+            bad.append(Counterexample(r, d, sweep.verdict, sweep.theta,
+                                      sweep.defect))
+    return verdicts, flags, bad
 
 
 def canonical_word(w: Word) -> Word:
@@ -565,15 +559,6 @@ def power_word_test(w: Word, n: int, grid: DefectGrid, thetas: int = 32,
         power_report = certify_closure_sequence(power, power_locus,
                                                 thetas, tol)
         power_locus = power_report.locus
-    flags = []
-    bad = []
-    for r, d in base_locus.points:
-        a = Annulus.canonical(1.0, r, d)
-        verdict = is_closure_config(a, power, grid_size=thetas, tol=tol)
-        passed = verdict == CLOSED_EVERYWHERE
-        flags.append(passed)
-        if not passed:
-            theta, gap = _worst_seed(a, power, thetas)
-            bad.append(Counterexample(r, d, verdict, theta, gap))
+    _, flags, bad = _sweep_points(power, base_locus.points, thetas, tol)
     return PowerWordReport(w, n, power, base_report, power_locus,
                            power_report, all(flags), tuple(bad))

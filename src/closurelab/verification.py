@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .chains import (
+    MIN_SEEDS,
     CircleElement,
     ChordElement,
     Word,
@@ -63,6 +64,8 @@ _CONCENTRIC_EPS = 1e-12
 def max_seed_defect(a: Annulus, w: Word, seeds: int,
                     offset: float = 0.0) -> float:
     """Largest |defect| over a uniform seed grid; inf if any seed dies."""
+    if seeds < MIN_SEEDS:
+        raise DomainError(f"need at least {MIN_SEEDS} seeds, got {seeds}")
     worst = 0.0
     for i in range(seeds):
         theta = offset + 2.0 * math.pi * i / seeds

@@ -320,13 +320,18 @@ class TestReversibility:
 
 class TestErrors:
     def test_dead_end_carries_partial_chain(self):
-        # strongly eccentric annulus: the second inscribed circle cannot
-        # satisfy the separation condition
-        a = Annulus.canonical(1.0, 0.366, 0.63)
+        # inner circle 1e-7 from the outer one: the chord after the second
+        # (tiny) circle cannot satisfy the separation condition
+        a = Annulus.canonical(1.0, 0.5, 0.4999999)
         with pytest.raises(DeadEndError) as info:
-            monodromy_defect(a, Word("ccs"), 6.06)
-        assert info.value.index == 1
-        assert len(info.value.elements) == 1
+            run_chain(a, Word("ccs"), seed_element(a, "c", 0.0))
+        assert info.value.index == 2
+        assert len(info.value.elements) == 2
+        # the defect alone carries no partial chain
+        with pytest.raises(DeadEndError) as info:
+            monodromy_defect(a, Word("ccs"), 0.0)
+        assert info.value.index is None
+        assert info.value.elements == []
 
     def test_tie_on_contact_at_divider(self):
         # entry placed exactly at the circle's outer-tangency point makes

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -10,8 +11,9 @@ from closurelab.chains import Word
 from closurelab.cli import main
 from closurelab.search import DefectGrid
 
-DEAD_ARGS = ["--R", "1", "--r", "0.9047619047619048", "--d", "0.05",
-             "--word", "ccc"]
+# inner circle 1e-7 from the outer one: the chain dies at index 2
+DEAD_ARGS = ["--R", "1", "--r", "0.5", "--d", "0.4999999",
+             "--word", "ccs", "--theta0", "0"]
 
 
 def run_cli(capsys, *argv):
@@ -87,11 +89,61 @@ class TestChainCommand:
         assert rep["details"]["error"].startswith("DeadEndError")
         assert "checks" in rep and rep["checks"] == {}
 
+    def test_thin_annulus_chain_completes(self, capsys):
+        # both circle neighbours of a thin annulus are found
+        code, rep = run_cli(capsys, "chain", "--R", "1", "--r", "0.97",
+                            "--d", "0", "--word", "ccc", "--theta0", "0.3")
+        assert code == 1
+        assert rep["details"]["elements"] == 4
+        assert rep["details"]["defect"] == pytest.approx(
+            3.0 * 2.0 * math.asin(0.03 / 1.97), abs=1e-14)
+
     def test_bad_word_is_a_usage_error(self, capsys):
         code, rep = run_cli(capsys, "chain", "--R", "3", "--r", "1",
                             "--d", "0", "--word", "cxcs")
         assert code == 2
         assert rep["flags"]["valid_input"] is False
+
+
+class TestEdgeValues:
+    """Every input yields exactly one strict JSON report and an exit code
+    from the README table."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["verify", "t1", "--R", "nan"], 2),
+        (["verify", "t1", "--R", "inf"], 2),
+        (["chain", "--theta0", "nan"], 2),
+        (["verify", "sangaku", "--tol", "nan"], 2),
+        (["verify", "t6", "--tol", "inf"], 2),
+        (["verify", "t1", "--tol=-inf"], 2),
+        (["verify", "t1", "--thetas", "0"], 2),
+        (["verify", "t1", "--thetas=-5"], 2),
+        (["chain", "--R", "1e308", "--r", "1", "--d", "0"], 2),
+        (["chain", "--R", "1e-300", "--r", "1e-301", "--d", "0"], 2),
+        (["chain", "--R", "1e100", "--r", "1e-250", "--d", "0"], 2),
+        # a dead seed: the check value is inf and fails
+        (["verify", "t1", "--R", "1", "--r", "0.5", "--d", "0.4999999"], 1),
+        # no envelope point on a concentric annulus with R != 3r
+        (["verify", "t4", "--R", "1", "--r", "0.25", "--d", "0"], 1),
+    ])
+    def test_one_report_and_a_table_exit_code(self, capsys, argv, want):
+        code = main(argv)
+        out = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rep, end = json.JSONDecoder(parse_constant=reject).raw_decode(out)
+        assert out[end:].strip() == ""
+        assert code == want
+        assert rep["verified"] is False
+
+    def test_non_finite_check_value_is_written_as_a_string(self, capsys):
+        code, rep = run_cli(capsys, "verify", "t1", "--R", "1", "--r", "0.5",
+                            "--d", "0.4999999")
+        check = rep["checks"]["chain_defect"]
+        assert check["value"] == "inf"
+        assert check["passed"] is False
 
 
 class TestScanCommand:

@@ -94,6 +94,15 @@ class TestAnnulus:
         with pytest.raises(DomainError):
             Annulus.canonical(3.0, 1.0, 2.5)
 
+    def test_scale_bounds(self):
+        for R in (1e-149, 1e150):
+            assert Annulus.canonical(R, 0.25 * R, 0.3 * R).R == R
+        for R in (1e-151, 1e151):
+            with pytest.raises(DomainError):
+                Annulus.canonical(R, 0.25 * R, 0.3 * R)
+        with pytest.raises(DomainError):
+            Annulus.canonical(1e100, 1e-151, 0.0)
+
     def test_canonical_scalars(self):
         a = Annulus.canonical(3.5, 1.0, 1.5)
         assert a.R == 3.5

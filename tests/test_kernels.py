@@ -1,22 +1,16 @@
-"""Tests for the chain kernels: reference semantics and backend parity."""
+"""Tests for the chain kernels: semantics and parity with bracketed
+root finding."""
 
 import math
 import random
 
 import pytest
 
-from closurelab import _kernels as kern
-from closurelab._kernels import _reference as ref
-
-try:
-    from closurelab._kernels import _fast as fast
-except ImportError:  # pure wheel
-    fast = None
+import bracketed_oracle as oracle
+import closurelab
+from closurelab import _kernels as ref
 
 TWO_PI = 2.0 * math.pi
-
-needs_compiled = pytest.mark.skipif(fast is None,
-                                    reason="compiled kernel not built")
 
 
 def random_valid(rng, margin=0.05):
@@ -215,6 +209,16 @@ class TestChainKernel:
                 assert status == ref.OK
                 assert abs(defect) < 1e-9, (word, R, r, d, theta, defect)
 
+    def test_defects_do_not_depend_on_scale(self):
+        for word in ("cscs", "ccsc", "ccss"):
+            status, base = ref.chain_defect(1.0, 0.25, 0.3, word, 0.4)
+            assert status == ref.OK
+            for scale in (1e-150, 3.0, 1e150):
+                status, defect = ref.chain_defect(
+                    scale, 0.25 * scale, 0.3 * scale, word, 0.4)
+                assert status == ref.OK
+                assert defect == pytest.approx(base, abs=1e-12)
+
     def test_bad_annulus_status(self):
         status, _, elems = ref.chain_run(3.0, 1.0, 2.5, "cscs", 0.0)
         assert status == ref.BAD_ANNULUS
@@ -227,77 +231,59 @@ class TestChainKernel:
         assert len(elems) == 5
 
 
-class TestBackendSelection:
-    def test_module_exports_backend(self):
-        assert kern.BACKEND in ("python", "compiled")
-
-    def test_get_backend_names(self):
-        assert kern.get_backend("python").BACKEND == "python"
-        with pytest.raises(ValueError):
-            kern.get_backend("fortran")
-
-    @needs_compiled
-    def test_compiled_flag(self):
-        assert kern.get_backend("compiled").BACKEND == "compiled"
+class TestKernelApi:
+    def test_exports_the_kernel_api(self):
+        assert closurelab.KERNEL_BACKEND == ref.BACKEND == "python"
+        for name in ("chain_defect", "chain_run", "step_element",
+                     "steiner_pair", "tangent_circles_to_chord"):
+            assert callable(getattr(ref, name))
+        assert (ref.OK, ref.DEAD_END, ref.TIE, ref.BAD_ANNULUS) == \
+            (0, 1, 2, 3)
 
 
-@needs_compiled
-class TestBackendParity:
-    """The compiled kernel must agree with the reference to near-ulp level."""
+class TestOracleParity:
+    """The closed forms against bracketed root finding (tests/
+    bracketed_oracle.py) wherever the brackets find both roots."""
 
-    def test_scalar_functions(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            R, r, d = random_valid(rng)
-            a = rng.uniform(-10.0, 10.0)
-            assert fast.wrap_2pi(a) == pytest.approx(ref.wrap_2pi(a),
-                                                     abs=1e-15)
-            assert fast.inscribed_rho(R, r, d, a) == pytest.approx(
-                ref.inscribed_rho(R, r, d, a), abs=1e-14)
+    @staticmethod
+    def annuli(seed, count):
+        rng = random.Random(seed)
+        for _ in range(count):
+            R = rng.choice((1.0, 0.37, 3.0, 12.5))
+            r = rng.uniform(0.02, 0.98)
+            d = rng.uniform(0.0, 1.0 - r) * rng.choice((1.0, 0.999999))
+            yield R, R * r, R * d, rng.uniform(0.0, TWO_PI)
 
-    def test_geometry_functions(self):
-        rng = random.Random(18)
-        for _ in range(100):
-            R, r, d = random_valid(rng)
-            alpha = rng.uniform(0.0, TWO_PI)
-            pc = ref.inscribed_center(R, r, d, alpha)
-            fc = fast.inscribed_center(R, r, d, alpha)
-            for p, f in zip(pc, fc):
-                assert f == pytest.approx(p, abs=1e-13)
-            pch = ref.chord_points(R, r, d, alpha)
-            fch = fast.chord_points(R, r, d, alpha)
-            for p, f in zip(pch, fch):
-                assert f == pytest.approx(p, abs=1e-13)
+    def test_steiner_pair(self):
+        compared = 0
+        for R, r, d, alpha in self.annuli(31, 1500):
+            got = ref.steiner_pair(R, r, d, alpha)
+            assert len(got) == 2
+            want = sorted(oracle.steiner_pair(R, r, d, alpha))
+            if len(want) == 2:
+                compared += 1
+                for g, w in zip(got, want):
+                    assert abs(ref.wrap_pi(g - w)) <= 1e-12
+        assert compared > 1200
 
-    def test_solver_functions(self):
-        rng = random.Random(19)
-        for _ in range(60):
-            R, r, d = random_valid(rng)
-            phi = rng.uniform(0.0, TWO_PI)
-            ps = sorted(ref.tangent_circles_to_chord(R, r, d, phi))
-            fs = sorted(fast.tangent_circles_to_chord(R, r, d, phi))
-            assert len(ps) == len(fs)
-            for p, f in zip(ps, fs):
-                for a, b in zip(p, f):
-                    assert b == pytest.approx(a, abs=1e-12)
-            pb = sorted(ref.steiner_pair(R, r, d, phi))
-            fb = sorted(fast.steiner_pair(R, r, d, phi))
-            assert len(pb) == len(fb) == 2
-            for a, b in zip(pb, fb):
-                assert b == pytest.approx(a, abs=1e-12)
+    def test_tangent_circles_to_chord(self):
+        compared = 0
+        for R, r, d, phi in self.annuli(32, 1500):
+            got = ref.tangent_circles_to_chord(R, r, d, phi)
+            assert len(got) == 2
+            want = sorted(oracle.tangent_circles_to_chord(R, r, d, phi))
+            if len(want) == 2:
+                compared += 1
+                for g, w in zip(sorted(got), want):
+                    for a, b in zip(g, w):
+                        assert abs(a - b) <= 1e-12 * R
+        assert compared > 1200
 
-    def test_chain_defects(self):
-        rng = random.Random(20)
-        words = ["cscs", "sss", "cccccc", "ccss", "cscscs"]
-        checked = 0
-        for _ in range(200):
-            R, r, d = random_valid(rng)
-            word = rng.choice(words)
-            theta = rng.uniform(0.0, TWO_PI)
-            ps, pd = ref.chain_defect(R, r, d, word, theta)
-            fs, fd = fast.chain_defect(R, r, d, word, theta)
-            assert fs == ps
-            if ps == ref.OK:
-                assert fd == pytest.approx(pd, abs=1e-12)
-                checked += 1
-        assert checked > 100
+    def test_thin_annulus_keeps_both_neighbours(self):
+        # both neighbours fall into one of the oracle's 64 brackets
+        R, r, alpha = 1.0, 0.97, 1.8
+        assert oracle.steiner_pair(R, r, 0.0, alpha) == []
+        step = 2.0 * math.asin((R - r) / (R + r))
+        got = sorted(ref.wrap_pi(b - alpha)
+                     for b in ref.steiner_pair(R, r, 0.0, alpha))
+        assert got == pytest.approx([-step, step], abs=1e-14)

@@ -9,7 +9,8 @@ from closurelab.verification import fitted_gamma
 
 CONCENTRIC = Annulus.canonical(3.0, 1.0, 0.0)
 ECCENTRIC = Annulus.canonical(1.0, 0.25, 0.3)
-DEAD = Annulus.canonical(1.0, 19.0 / 21.0, 0.05)
+# inner circle 1e-7 from the outer one: ccs dies at index 2 from theta 0
+DEAD = Annulus.canonical(1.0, 0.5, 0.4999999)
 
 
 class TestClosedScenes:
@@ -56,7 +57,7 @@ class TestOpenAndPartialScenes:
         assert "status=open" in svg
 
     def test_dead_chain_is_partial(self):
-        svg, complete = render_scene(DEAD, Word("ccc"))
+        svg, complete = render_scene(DEAD, Word("ccs"))
         assert complete is False
         assert svg.count('class="chain-circle"') == 2
         assert "status=partial" in svg

@@ -70,6 +70,19 @@ class TestSceneConfig:
         with pytest.raises(DomainError):
             SceneConfig.load(str(path))
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        for value in (math.nan, math.inf, -math.inf, "nan", "-inf"):
+            with pytest.raises(DomainError):
+                SceneConfig.load(None, {"R": value})
+            with pytest.raises(DomainError):
+                SceneConfig.load(None, {"tol": value})
+        with pytest.raises(DomainError):
+            SceneConfig.load(None, {"nr": math.inf})
+        path = tmp_path / "cfg.json"
+        path.write_text('{"theta0": NaN}')
+        with pytest.raises(DomainError):
+            SceneConfig.load(str(path))
+
     def test_bad_value_rejected(self):
         with pytest.raises(DomainError):
             SceneConfig.load(None, {"R": "wide"})
@@ -142,11 +155,23 @@ class TestReport:
         assert list(data) == sorted(data)
 
     def test_nan_never_serializes(self):
-        rep = Report("demo")
+        # non-finite values are written as strings, never as NaN/Infinity
+        rep = Report("demo", inputs={"R": math.inf})
         rep.check("nan", math.nan, 1.0)
+        rep.check("inf", math.inf, 1.0)
+        rep.details["worst"] = [-math.inf, 0.5]
         assert rep.checks["nan"]["passed"] is False
-        with pytest.raises(ValueError):
-            rep.to_json()
+        assert rep.checks["inf"]["passed"] is False
+
+        def reject(token):
+            raise ValueError(token)
+
+        data = json.loads(rep.to_json(), parse_constant=reject)
+        assert data["checks"]["nan"]["value"] == "nan"
+        assert data["checks"]["inf"]["value"] == "inf"
+        assert data["inputs"]["R"] == "inf"
+        assert data["details"]["worst"] == ["-inf", 0.5]
+        assert data["verified"] is False
 
     def test_golden_view_drops_run_dependent_fields(self):
         rep = Report("demo", inputs={"R": 3.0, "workers": 8}).finish()

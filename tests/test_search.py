@@ -85,16 +85,23 @@ class TestDefectGrid:
 
 class TestScanOracles:
     def test_steiner_triple_zero_on_concentric_row(self):
-        # closest completed cell of the d = 0 row to the n = 3 eccentricity
+        # the d = 0 row changes sign next to the n = 3 closure radius
         g = grid("ccc")
-        row = np.where(g.status[:, 0] == CELL_OK,
-                       np.abs(g.defect[:, 0]), np.inf)
-        r_best = g.r_values[int(np.argmin(row))]
-        assert abs(r_best - STEINER3_ECC) < 1.0 / 65.0
+        row = g.defect[:, 0]
+        crossings = [i for i in range(63)
+                     if g.status[i, 0] == CELL_OK
+                     and g.status[i + 1, 0] == CELL_OK
+                     and row[i] * row[i + 1] < 0.0
+                     and abs(row[i] - row[i + 1]) < math.pi]
+        assert [i for i in crossings
+                if g.r_values[i] < STEINER3_ECC < g.r_values[i + 1]]
 
-    def test_pure_circle_words_have_dead_cells(self):
-        g = grid("ccc")
-        assert int(np.sum(g.status == CELL_DEAD)) > 0
+    def test_pure_circle_words_complete_on_every_cell(self):
+        # thin annuli included: every circle step has both neighbours
+        for letters in ("ccc", "cccc"):
+            g = grid(letters)
+            assert not np.any(g.status == CELL_DEAD)
+            assert np.all(np.isfinite(g.defect[g.status == CELL_OK]))
 
     def test_mixed_word_sign_change_brackets_concentric_closure(self):
         g = grid("cscs")
@@ -125,8 +132,16 @@ class TestScanDeterminism:
 
 class TestCsvRoundTrip:
     def test_round_trip_is_exact_with_dead_and_invalid_cells(self, tmp_path):
-        g = scan_defect(Word("ccc"), 32, 32)
-        assert int(np.sum(g.status == CELL_DEAD)) > 0
+        # scans of the shipped grid sizes complete every annulus cell, so
+        # the dead cells are marked by hand
+        scanned = scan_defect(Word("ccc"), 32, 32)
+        status = scanned.status.copy()
+        defect = scanned.defect.copy()
+        status[[0, 5, 20], [3, 0, 7]] = CELL_DEAD
+        defect[status == CELL_DEAD] = math.nan
+        g = DefectGrid(scanned.word, scanned.r_values, scanned.d_values,
+                       defect, status)
+        assert int(np.sum(g.status == CELL_INVALID)) > 0
         path = tmp_path / "scan.csv"
         g.to_csv(path)
         assert DefectGrid.from_csv(path, Word("ccc")) == g
@@ -226,6 +241,18 @@ class TestCertification:
             assert cex.verdict != CLOSED_EVERYWHERE
             assert cex.theta is not None
             assert cex.defect is None or cex.defect > 1e-8
+
+    def test_counterexample_is_the_worst_seed(self):
+        rep = certify_closure_sequence(Word("ccs"), locus("ccs", 48),
+                                       thetas=16)
+        for cex in rep.counterexamples[:5]:
+            a = Annulus.canonical(1.0, cex.r, cex.d)
+            gaps = [abs(monodromy_defect(a, Word("ccs"),
+                                         2.0 * math.pi * i / 16))
+                    for i in range(16)]
+            worst = max(range(16), key=lambda i: gaps[i])
+            assert cex.theta == 2.0 * math.pi * worst / 16
+            assert cex.defect == gaps[worst]
 
     def test_certified_points_survive_denser_seed_grids(self):
         rep = certify_closure_sequence(Word("cscs"), locus("cscs"), thetas=8)

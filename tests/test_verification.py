@@ -109,8 +109,14 @@ class TestCenterChords:
         assert fitted_gamma(locus_annulus(0.2)) is None
 
     def test_max_seed_defect_reports_dead_seeds(self):
-        dead = Annulus.canonical(1.0, 19.0 / 21.0, 0.05)
-        assert max_seed_defect(dead, Word("ccc"), 8) == math.inf
+        # inner circle 1e-7 from the outer one: ccs dies from theta 0
+        dead = Annulus.canonical(1.0, 0.5, 0.4999999)
+        assert max_seed_defect(dead, Word("ccs"), 8) == math.inf
+
+    def test_max_seed_defect_needs_eight_seeds(self):
+        for seeds in (0, -5, 7):
+            with pytest.raises(DomainError):
+                max_seed_defect(GENERIC, Word("cscs"), seeds)
 
 
 class TestVerifyT3T4T5:
