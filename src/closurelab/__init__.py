@@ -20,7 +20,6 @@ from .chains import (
     monodromy_defect,
     run_chain,
     seed_element,
-    step,
 )
 from .errors import (
     ChainError,
@@ -51,7 +50,6 @@ from .search import (
     certify_closure_sequence,
     enumerate_words,
     fit_relation,
-    power_word_test,
     scan_defect,
     trace_zero_locus,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "monodromy_defect",
     "run_chain",
     "seed_element",
-    "step",
     "ChainError",
     "DeadEndError",
     "DegeneracyError",
@@ -103,7 +100,6 @@ __all__ = [
     "certify_closure_sequence",
     "enumerate_words",
     "fit_relation",
-    "power_word_test",
     "scan_defect",
     "trace_zero_locus",
     "verify_sangaku",

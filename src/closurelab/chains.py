@@ -24,7 +24,6 @@ from .geometry import (
     Circle,
     Point,
     _from_canonical,
-    _to_canonical,
     chord_at,
     wrap_2pi,
     wrap_pi,
@@ -43,12 +42,7 @@ _LETTERS = frozenset("cs")
 
 @dataclass(frozen=True)
 class Word:
-    """Cyclic word over {c, s}, at least two letters.
-
-    Words shorter than three letters that use a single letter are flagged:
-    the pure-letter closure families only start at length three, so cc and
-    ss runs are degenerate bookkeeping cases.
-    """
+    """Cyclic word over {c, s}, at least two letters."""
 
     letters: str
 
@@ -68,20 +62,6 @@ class Word:
         """Cyclic indexing: letter(n) is letter(0)."""
         return self.letters[i % len(self.letters)]
 
-    @property
-    def mixed(self) -> bool:
-        return len(set(self.letters)) == 2
-
-    @property
-    def flagged(self) -> bool:
-        return len(self.letters) < 3 and not self.mixed
-
-    def rotated(self, k: int) -> "Word":
-        """The same cyclic word read from position k."""
-        n = len(self.letters)
-        k %= n
-        return Word(self.letters[k:] + self.letters[:k])
-
 
 @dataclass(frozen=True)
 class CircleElement:
@@ -89,14 +69,9 @@ class CircleElement:
 
     circle: Circle
     omega_contact: float
-    outer_contact: float
     entry_point: Optional[Point] = None
 
     letter = "c"
-
-    @property
-    def progress(self) -> float:
-        return self.omega_contact
 
 
 @dataclass(frozen=True)
@@ -108,10 +83,6 @@ class ChordElement:
     entry_point: Optional[Point] = None
 
     letter = "s"
-
-    @property
-    def progress(self) -> float:
-        return self.omega_contact
 
 
 ChainElement = Union[CircleElement, ChordElement]
@@ -137,29 +108,12 @@ def _to_world(a: Annulus, elem) -> ChainElement:
         _, alpha, x, y, rho, ex, ey, has_entry = elem
         center = _from_canonical(a, x, y)
         entry = _from_canonical(a, ex, ey) if has_entry else None
-        outer = wrap_2pi(math.atan2(y, x) + beta)
         return CircleElement(Circle(center, rho), wrap_2pi(alpha + beta),
-                             outer, entry)
+                             entry)
     _, phi, ex, ey, has_entry = elem
     omega = wrap_2pi(phi + beta)
     entry = _from_canonical(a, ex, ey) if has_entry else None
     return ChordElement(chord_at(a, omega), omega, entry)
-
-
-def _to_kernel(a: Annulus, elem: ChainElement):
-    beta = a.axis_angle
-    if isinstance(elem, CircleElement):
-        x, y = _to_canonical(a, elem.circle.center)
-        if elem.entry_point is None:
-            return ("c", wrap_2pi(elem.omega_contact - beta), x, y,
-                    elem.circle.radius, 0.0, 0.0, 0)
-        ex, ey = _to_canonical(a, elem.entry_point)
-        return ("c", wrap_2pi(elem.omega_contact - beta), x, y,
-                elem.circle.radius, ex, ey, 1)
-    if elem.entry_point is None:
-        return ("s", wrap_2pi(elem.omega_contact - beta), 0.0, 0.0, 0)
-    ex, ey = _to_canonical(a, elem.entry_point)
-    return ("s", wrap_2pi(elem.omega_contact - beta), ex, ey, 1)
 
 
 def _raise_for(status: int, index: Optional[int] = None,
@@ -188,49 +142,34 @@ def seed_element(a: Annulus, letter: str, theta: float) -> ChainElement:
     return _to_world(a, kern.seed_element(a.R, a.r, a.d, letter, alpha))
 
 
-def step(a: Annulus, prev: ChainElement, next_letter: str,
-         orientation: int = 1) -> ChainElement:
-    """The successor of `prev` for the requested letter.
-
-    Orientation +1 advances counterclockwise when the seed step is ambiguous;
-    after that the excluded-candidate rule makes the chain deterministic.
-    """
-    if next_letter not in _LETTERS:
-        raise DomainError(f"letter must be c or s, got {next_letter!r}")
-    status, nxt = kern.step_element(a.R, a.r, a.d, _to_kernel(a, prev),
-                                    next_letter, orientation)
-    if status != kern.OK:
-        _raise_for(status, 1, [prev])
-    return _to_world(a, nxt)
-
-
 def run_chain(a: Annulus, w: Word, seed: ChainElement,
               orientation: int = 1, tol: float = PROGRESS_TOL) -> ChainRun:
     """Run the n-letter word from the seed, building n+1 elements.
 
-    closed requires the final element to match the seed: same letter, same
-    progress angle within tol, and for circles the same radius within tol*R.
+    The chain starts from the seed's letter and progress angle; a seed
+    never has an entry point.  The defect is the one monodromy_defect
+    gives for the seed's angle.  closed requires the final element to
+    match the first: same letter, same progress angle within tol, and
+    for circles the same radius within tol*R.
     """
     if seed.letter != w.letter(0):
         raise DomainError(
             f"seed letter {seed.letter!r} does not match word start "
             f"{w.letter(0)!r}")
-    elems = [seed]
-    kelem = _to_kernel(a, seed)
-    n = len(w)
-    for i in range(1, n + 1):
-        status, nxt = kern.step_element(a.R, a.r, a.d, kelem,
-                                        w.letter(i), orientation)
-        if status != kern.OK:
-            _raise_for(status, i, elems)
-        kelem = nxt
-        elems.append(_to_world(a, nxt))
-    first, last = elems[0], elems[-1]
-    defect = wrap_pi(last.progress - first.progress)
-    closed = last.letter == first.letter and abs(defect) < tol
-    if closed and isinstance(first, CircleElement):
-        closed = abs(last.circle.radius - first.circle.radius) < tol * a.R
-    return ChainRun(a, w, tuple(elems), defect, closed)
+    if seed.entry_point is not None:
+        raise DomainError("a seed element has no entry point")
+    alpha = wrap_2pi(seed.omega_contact - a.axis_angle)
+    status, index, kelems = kern.chain_run(a.R, a.r, a.d, w.letters, alpha,
+                                           orientation)
+    elems = tuple(_to_world(a, e) for e in kelems)
+    if status != kern.OK:
+        _raise_for(status, index, elems)
+    first, last = kelems[0], kelems[-1]
+    defect = wrap_pi(last[1] - first[1])
+    closed = last[0] == first[0] and abs(defect) < tol
+    if closed and first[0] == "c":
+        closed = abs(last[4] - first[4]) < tol * a.R
+    return ChainRun(a, w, elems, defect, closed)
 
 
 def monodromy_defect(a: Annulus, w: Word, theta: float,
@@ -253,11 +192,13 @@ class SeedSweep(NamedTuple):
 
     theta is the seed with the largest |defect| and defect that value;
     when no seed completes, theta is the first dead seed and defect None.
+    dead counts the seeds whose chain fails to complete.
     """
 
     verdict: str
     theta: float
     defect: Optional[float]
+    dead: int
 
 
 def closure_sweep(a: Annulus, w: Word, grid_size: int = 64,
@@ -274,6 +215,7 @@ def closure_sweep(a: Annulus, w: Word, grid_size: int = 64,
                           f"got {grid_size}")
     worst_theta = first_dead = None
     worst = best = None
+    dead = 0
     for i in range(grid_size):
         theta = 2.0 * math.pi * i / grid_size
         try:
@@ -281,20 +223,21 @@ def closure_sweep(a: Annulus, w: Word, grid_size: int = 64,
         except ChainError:
             if first_dead is None:
                 first_dead = theta
+            dead += 1
             continue
         if worst is None or gap > worst:
             worst_theta, worst = theta, gap
         if best is None or gap < best:
             best = gap
     if worst is None:
-        return SeedSweep(CLOSED_NOWHERE, first_dead, None)
-    if first_dead is None and worst < tol:
+        return SeedSweep(CLOSED_NOWHERE, first_dead, None, dead)
+    if dead == 0 and worst < tol:
         verdict = CLOSED_EVERYWHERE
     elif best > 10.0 * tol:
         verdict = CLOSED_NOWHERE
     else:
         verdict = MIXED
-    return SeedSweep(verdict, worst_theta, worst)
+    return SeedSweep(verdict, worst_theta, worst, dead)
 
 
 def is_closure_config(a: Annulus, w: Word, grid_size: int = 64,

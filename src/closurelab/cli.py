@@ -47,6 +47,21 @@ from .verification import (
 _THEOREMS = ("t1", "t2", "t3", "t4", "t5", "t6", "sangaku")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors print a diagnostic report.
+
+    The usage text still goes to stderr; stdout gets one report with
+    valid_input false, and the exit code stays 2.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        command = self.prog.partition(" ")[2] or self.prog
+        err = argparse.ArgumentError(None, message)
+        sys.stdout.write(diagnostic_report(command, {}, err).to_json())
+        self.exit(2)
+
+
 def _add_flags(parser: argparse.ArgumentParser, *names: str,
                out: Optional[bool] = None) -> None:
     """Attach the shared option set; every value defaults to unset.
@@ -231,7 +246,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="closurelab",
         description="Numerical laboratory for tangent chain closure in a "
                     "circular annulus",

@@ -88,17 +88,6 @@ class Conic:
         return (self.a * x * x + self.b * x * y + self.c * y * y
                 + self.d * x + self.e * y + self.f)
 
-    def kind(self) -> str:
-        """Classification from the discriminant and the 3x3 matrix rank."""
-        if _matrix_rank3(self.matrix()) < 3:
-            return "degenerate"
-        disc = self.b * self.b - 4.0 * self.a * self.c
-        if disc < -_KIND_TOL:
-            return "ellipse"
-        if disc > _KIND_TOL:
-            return "hyperbola"
-        return "parabola"
-
 
 @dataclass(frozen=True)
 class DualConic:
@@ -144,14 +133,6 @@ def _adjugate(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def dual_of(c: Conic) -> DualConic:
-    """Dual (tangent-line) form of a nondegenerate point conic."""
-    m = c.matrix()
-    if _matrix_rank3(m) < 3:
-        raise DegeneracyError("degenerate conic has no dual form")
-    return DualConic(*_matrix_to6(_adjugate(m)))
-
-
 def point_of(dc: DualConic) -> Conic:
     """Point form of a nondegenerate dual conic."""
     m = dc.matrix()
@@ -189,30 +170,6 @@ class FocalEllipse:
         u = ax * math.cos(t)
         v = bx * math.sin(t)
         return Point(cx + u * ex - v * ey, cy + u * ey + v * ex)
-
-
-@dataclass(frozen=True)
-class FocalParabola:
-    """Parabola as focus and directrix."""
-
-    focus: Point
-    directrix: Line
-
-    def __post_init__(self):
-        if abs(self.directrix.signed_distance(self.focus)) < 1e-12:
-            raise DomainError("parabola focus must not lie on the directrix")
-
-    def point_at(self, t: float) -> Point:
-        # vertex frame: axis from directrix toward focus
-        sd = self.directrix.signed_distance(self.focus)
-        sign = 1.0 if sd > 0.0 else -1.0
-        ax = sign * self.directrix.nx
-        ay = sign * self.directrix.ny
-        p = 0.5 * abs(sd)  # focus-to-vertex distance
-        vx = self.focus.x - p * ax
-        vy = self.focus.y - p * ay
-        return Point(vx + p * t * t * ax - 2.0 * p * t * ay,
-                     vy + p * t * t * ay + 2.0 * p * t * ax)
 
 
 @dataclass(frozen=True)
@@ -255,19 +212,6 @@ def centers_ellipse(a: Annulus) -> FocalEllipse:
     return FocalEllipse(a.outer.center, a.inner.center, a.R + a.r)
 
 
-def tangent_parabola(a: Annulus, t: Line, tol: float = 1e-9) -> FocalParabola:
-    """Locus of centres of circles tangent to both the chord line `t` and the
-    inner circle (on the annulus side): focus at the inner centre, directrix
-    the image of `t` pushed to distance 2r."""
-    inner = a.inner.center
-    sd = t.signed_distance(inner)
-    if abs(sd - a.r) > tol * a.R:
-        raise DomainError("line is not tangent to the inner circle with the "
-                          "centre on its positive side")
-    directrix = Line(t.nx, t.ny, 2.0 * t.c - (t.nx * inner.x + t.ny * inner.y))
-    return FocalParabola(inner, directrix)
-
-
 def conic_from_focal(shape) -> Conic:
     """Implicit six-coefficient form of a focal shape."""
     if isinstance(shape, FocalEllipse):
@@ -287,13 +231,6 @@ def conic_from_focal(shape) -> Conic:
         rot = np.array([[ex, -ey, cx], [ey, ex, cy], [0.0, 0.0, 1.0]])
         t_inv = np.linalg.inv(rot)
         return Conic(*_matrix_to6(t_inv.T @ m0 @ t_inv))
-    if isinstance(shape, FocalParabola):
-        fx, fy = shape.focus.x, shape.focus.y
-        nx, ny, c = shape.directrix.nx, shape.directrix.ny, shape.directrix.c
-        # |X - F|^2 = (n.X - c)^2
-        return Conic(1.0 - nx * nx, -2.0 * nx * ny, 1.0 - ny * ny,
-                     -2.0 * fx + 2.0 * nx * c, -2.0 * fy + 2.0 * ny * c,
-                     fx * fx + fy * fy - c * c)
     if isinstance(shape, PolarConicShape):
         # r = p - e*(u . (X - F)) squared, u the phase direction
         e = shape.eccentricity
@@ -345,10 +282,6 @@ class DualConicFit:
     singular_values: tuple[float, ...]
     line_rank: int
     envelope_point: Point | None
-
-    @property
-    def smallest_singular_value(self) -> float:
-        return self.singular_values[-1]
 
 
 def fit_dual_conic(lines: list[Line]) -> DualConicFit:
@@ -569,18 +502,6 @@ def focus_directrix_residual(c: Conic, focus: Point, directrix: Line,
         rhs = e * abs(directrix.signed_distance(p))
         worst = max(worst, abs(lhs - rhs))
     return worst / scale
-
-
-def rotate_conic_about(c: Conic, center: Point, phi: float) -> Conic:
-    """Conic rotated by phi about a point."""
-    cs, sn = math.cos(phi), math.sin(phi)
-    rot = np.array([[cs, -sn, 0.0], [sn, cs, 0.0], [0.0, 0.0, 1.0]])
-    t_fwd = np.array([[1.0, 0.0, center.x], [0.0, 1.0, center.y],
-                      [0.0, 0.0, 1.0]])
-    t_back = np.array([[1.0, 0.0, -center.x], [0.0, 1.0, -center.y],
-                       [0.0, 0.0, 1.0]])
-    t_inv = t_fwd @ rot.T @ t_back  # inverse of the point map
-    return Conic(*_matrix_to6(t_inv.T @ c.matrix() @ t_inv))
 
 
 # ---------------------------------------------------------------------------

@@ -219,75 +219,8 @@ def _from_canonical(a: Annulus, x: float, y: float) -> Point:
                  a.outer.center.y + x * sb + y * cb)
 
 
-def _to_canonical(a: Annulus, p: Point) -> tuple[float, float]:
-    b = a.axis_angle
-    cb = math.cos(b)
-    sb = math.sin(b)
-    vx = p.x - a.outer.center.x
-    vy = p.y - a.outer.center.y
-    return vx * cb + vy * sb, -vx * sb + vy * cb
-
-
 # ---------------------------------------------------------------------------
-# tangent constructions
-
-def tangent_line_at(c: Circle, theta: float) -> Line:
-    """Tangent line at the boundary point of `c` at angle theta, oriented with
-    the circle's centre on the positive side."""
-    ux = math.cos(theta)
-    uy = math.sin(theta)
-    offset = -(ux * c.center.x + uy * c.center.y) - c.radius
-    return Line(-ux, -uy, offset)
-
-
-def tangent_lines_from_point(p: Point, c: Circle,
-                             tol: float | None = None) -> list[Line]:
-    """Tangent lines to `c` through `p`: two from an exterior point, one from
-    a boundary point, none from the interior."""
-    atol = (TANGENCY_TOL if tol is None else tol) * c.radius
-    dist = p.distance(c.center)
-    if dist < c.radius - atol:
-        return []
-    eta = math.atan2(p.y - c.center.y, p.x - c.center.x)
-    if abs(dist - c.radius) <= atol:
-        return [tangent_line_at(c, eta)]
-    delta = math.acos(min(1.0, c.radius / dist))
-    return [tangent_line_at(c, kern.wrap_2pi(eta - delta)),
-            tangent_line_at(c, kern.wrap_2pi(eta + delta))]
-
-
-def common_external_tangents(c1: Circle, c2: Circle,
-                             tol: float | None = None) -> list[Line]:
-    """Common tangents keeping both centres on the same (positive) side.
-
-    Two in general position, one when the circles are internally tangent, an
-    empty list when one circle contains the other.
-    """
-    scale = max(c1.radius, c2.radius)
-    atol = (TANGENCY_TOL if tol is None else tol) * scale
-    dist = c1.center.distance(c2.center)
-    gap = abs(c1.radius - c2.radius)
-    if dist < gap - atol:
-        return []
-    if abs(c1.radius - c2.radius) <= atol:
-        if dist <= atol:
-            raise DegeneracyError("coincident equal circles have no tangent pair")
-        # equal radii: the two tangents are parallel to the centre axis
-        axis = math.atan2(c2.center.y - c1.center.y, c2.center.x - c1.center.x)
-        return [tangent_line_at(c1, axis - 0.5 * math.pi),
-                tangent_line_at(c1, axis + 0.5 * math.pi)]
-    ex = (c2.radius * c1.center.x - c1.radius * c2.center.x) / (c2.radius - c1.radius)
-    ey = (c2.radius * c1.center.y - c1.radius * c2.center.y) / (c2.radius - c1.radius)
-    return tangent_lines_from_point(Point(ex, ey), c1, tol)
-
-
-def internal_similitude_center(a: Circle, b: Circle) -> Point:
-    """Internal similitude centre: divides the centre segment in the ratio of
-    the radii."""
-    w = a.radius + b.radius
-    return Point((b.radius * a.center.x + a.radius * b.center.x) / w,
-                 (b.radius * a.center.y + a.radius * b.center.y) / w)
-
+# similitude centres
 
 def external_similitude_center(a: Circle, b: Circle,
                                tol: float | None = None):
@@ -381,25 +314,13 @@ def inscribed_circles_tangent_to_line(a: Annulus, t: Line,
     return [Circle(_from_canonical(a, x, y), rho) for x, y, rho in sols]
 
 
-def _inscribed_angle(a: Annulus, c: Circle, tol: float | None = None) -> float:
+def _require_inscribed(a: Annulus, c: Circle,
+                       tol: float | None = None) -> None:
     atol = (COMPARISON_TOL if tol is None else tol) * a.R
     d_out = c.center.distance(a.outer.center)
     d_in = c.center.distance(a.inner.center)
     if abs(d_out - (a.R - c.radius)) > atol or abs(d_in - (a.r + c.radius)) > atol:
         raise DomainError("circle is not inscribed in the annulus")
-    return math.atan2(c.center.y - a.inner.center.y,
-                      c.center.x - a.inner.center.x)
-
-
-def steiner_neighbors(a: Annulus, c: Circle,
-                      tol: float | None = None) -> list[Circle]:
-    """The two inscribed circles tangent to the inscribed circle `c`."""
-    alpha = _to_canonical_angle(a, _inscribed_angle(a, c, tol))
-    out = []
-    for beta in kern.steiner_pair(a.R, a.r, a.d, alpha):
-        x, y, rho = kern.inscribed_center(a.R, a.r, a.d, beta)
-        out.append(Circle(_from_canonical(a, x, y), rho))
-    return out
 
 
 def segment_inscribed_radius(R: float, h: float) -> float:
@@ -418,7 +339,7 @@ def theorem2_meeting_point(a: Annulus, w1: Circle, tol: float | None = None):
     """Meeting point of the two common tangents of the inner circle and the
     inscribed circle `w1` (their external similitude centre); an AtInfinity
     marker when the radii agree."""
-    _inscribed_angle(a, w1, tol)  # domain check only
+    _require_inscribed(a, w1, tol)
     return external_similitude_center(a.inner, w1)
 
 

@@ -23,7 +23,7 @@ from .geometry import Annulus
 from .search import CertificationReport, RelationFit, ZeroLocus
 
 _FLOAT_KEYS = frozenset({"R", "r", "d", "theta0", "tol"})
-_INT_KEYS = frozenset({"nr", "nd", "thetas", "degree", "max_len", "power",
+_INT_KEYS = frozenset({"nr", "nd", "thetas", "degree", "max_len",
                        "workers"})
 
 
@@ -42,7 +42,6 @@ class SceneConfig:
     tol: Optional[float] = None
     degree: int = 2
     max_len: int = 4
-    power: int = 2
     workers: int = 1
 
     @classmethod

@@ -5,8 +5,8 @@ triangle {(r, d) : r > 0, d >= 0, r + d < 1}.  This module scans the
 monodromy defect of a word over that triangle, traces the zero locus of
 the defect by regula falsi along sign-changing grid edges, certifies traced
 loci against seed independence, enumerates candidate words up to cyclic
-rotation and reversal, fits polynomial relations in (R, r, d) to traced
-loci, and compares a word's locus with the locus of its powers.
+rotation and reversal, and fits polynomial relations in (R, r, d) to
+traced loci.
 
 Scans seed every chain at theta = 0.  That is deliberately one-sided:
 a vanishing defect at a single seed is only a candidate, and the
@@ -391,18 +391,10 @@ def certify_closure_sequence(w: Word, locus: ZeroLocus, thetas: int = 32,
     """
     if not locus.points:
         raise DomainError("cannot certify an empty locus")
-    verdicts, flags, bad = _sweep_points(w, locus.points, thetas, tol)
-    return CertificationReport(w, locus.with_certification(flags),
-                               tuple(verdicts), all(flags), tuple(bad))
-
-
-def _sweep_points(w: Word, points, thetas: int, tol: float):
-    """Verdict and pass flag per (r, d) point, and the failing points as
-    counterexamples, from one seed sweep per point."""
     verdicts = []
     flags = []
     bad = []
-    for r, d in points:
+    for r, d in locus.points:
         sweep = closure_sweep(Annulus.canonical(1.0, r, d), w, thetas, tol)
         verdicts.append(sweep.verdict)
         passed = sweep.verdict == CLOSED_EVERYWHERE
@@ -410,13 +402,8 @@ def _sweep_points(w: Word, points, thetas: int, tol: float):
         if not passed:
             bad.append(Counterexample(r, d, sweep.verdict, sweep.theta,
                                       sweep.defect))
-    return verdicts, flags, bad
-
-
-def canonical_word(w: Word) -> Word:
-    """Smallest rotation of w or of reversed w, in dictionary order."""
-    best = min(_dihedral_orbit(w.letters))
-    return w if best == w.letters else Word(best)
+    return CertificationReport(w, locus.with_certification(flags),
+                               tuple(verdicts), all(flags), tuple(bad))
 
 
 def _dihedral_orbit(letters: str) -> Iterator[str]:
@@ -512,53 +499,3 @@ def fit_relation(locus: ZeroLocus, degree: int) -> RelationFit:
                        tuple(float(c) for c in coeffs),
                        tuple(float(s) for s in singular),
                        float(residuals.max()), nullspace)
-
-
-@dataclass(frozen=True)
-class PowerWordReport:
-    """Comparison of a word's locus with the locus of its n-th power."""
-
-    word: Word
-    n: int
-    power_word: Word
-    base_report: CertificationReport
-    power_locus: ZeroLocus
-    power_report: Optional[CertificationReport]
-    base_locus_closed_under_power: bool
-    base_counterexamples: tuple[Counterexample, ...]
-
-
-def power_word_test(w: Word, n: int, grid: DefectGrid, thetas: int = 32,
-                    tol: float = CERTIFY_TOL,
-                    workers: int = 1) -> PowerWordReport:
-    """Does the n-th power of w close wherever w does?
-
-    Traces and certifies w's locus from the given grid, rescans at the
-    same resolution for w repeated n times, traces and certifies that
-    locus, and additionally re-runs the power word on every base locus
-    point.  The two loci are generally different; the last check is the
-    one the power question asks about.
-    """
-    if n < 1:
-        raise DomainError(f"power must be positive, got {n}")
-    base_locus = trace_zero_locus(w, grid)
-    if not base_locus.points:
-        raise DomainError(f"no locus found for {w.letters!r} at this "
-                          "resolution")
-    base_report = certify_closure_sequence(w, base_locus, thetas, tol)
-    power = Word(w.letters * n)
-    if n == 1:
-        return PowerWordReport(w, 1, power, base_report,
-                               base_report.locus, base_report,
-                               base_report.certified,
-                               base_report.counterexamples)
-    power_grid = scan_defect(power, *grid.shape, workers=workers)
-    power_locus = trace_zero_locus(power, power_grid)
-    power_report = None
-    if power_locus.points:
-        power_report = certify_closure_sequence(power, power_locus,
-                                                thetas, tol)
-        power_locus = power_report.locus
-    _, flags, bad = _sweep_points(power, base_locus.points, thetas, tol)
-    return PowerWordReport(w, n, power, base_report, power_locus,
-                           power_report, all(flags), tuple(bad))

@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from .chains import (
-    MIN_SEEDS,
     CircleElement,
     ChordElement,
     Word,
-    monodromy_defect,
+    closure_sweep,
     run_chain,
     seed_element,
 )
@@ -38,7 +37,7 @@ from .conics import (
     shape_through_two_points,
     theorem6_rotation,
 )
-from .errors import ChainError, DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError
 from .geometry import (
     Annulus,
     AtInfinity,
@@ -61,21 +60,6 @@ PAIR_WORD = Word("cscs")
 _CONCENTRIC_EPS = 1e-12
 
 
-def max_seed_defect(a: Annulus, w: Word, seeds: int,
-                    offset: float = 0.0) -> float:
-    """Largest |defect| over a uniform seed grid; inf if any seed dies."""
-    if seeds < MIN_SEEDS:
-        raise DomainError(f"need at least {MIN_SEEDS} seeds, got {seeds}")
-    worst = 0.0
-    for i in range(seeds):
-        theta = offset + 2.0 * math.pi * i / seeds
-        try:
-            worst = max(worst, abs(monodromy_defect(a, w, theta)))
-        except ChainError:
-            return math.inf
-    return worst
-
-
 def verify_t1(a: Annulus, seeds: int = 64, tol: float = 1e-8,
               scalar_samples: int = 1000, rng_seed: int = 0) -> Report:
     """Mixed-pair porism on one annulus, plus the two-radius product law.
@@ -91,7 +75,8 @@ def verify_t1(a: Annulus, seeds: int = 64, tol: float = 1e-8,
         "scalar_samples": scalar_samples})
     rep.check("corollary_residual", abs(euler_like_residual(a.R, a.r, a.d)),
               1e-6 * a.R * a.R)
-    rep.check("chain_defect", max_seed_defect(a, PAIR_WORD, seeds), tol)
+    sweep = closure_sweep(a, PAIR_WORD, seeds, tol)
+    rep.check("chain_defect", math.inf if sweep.dead else sweep.defect, tol)
 
     rng = np.random.default_rng(rng_seed)
     worst_on = 0.0
@@ -263,9 +248,11 @@ def verify_t4(a: Annulus, fit_count: int = 12, holdout: int = 24,
     """Envelope fit generalizes to held-out center chords.
 
     The conic fitted from fit_count chords keeps all held-out chords
-    tangent.  Concentric annuli additionally require the fit to detect
-    the concurrent family as a rank-2 point envelope at the shared
-    center instead of inventing a conic.
+    tangent.  On a concentric annulus the envelope is the circle of
+    radius |R - 3r|/2 about the common center, which degenerates to
+    that center only at R = 3r; there the fit must additionally detect
+    the concurrent family as a rank-2 point envelope at the center
+    instead of inventing a conic.
     """
     rep = Report("verify t4", inputs={
         "R": a.R, "r": a.r, "d": a.d, "fit_count": fit_count,
@@ -276,7 +263,8 @@ def verify_t4(a: Annulus, fit_count: int = 12, holdout: int = 24,
     worst = max(abs(fit.dual.residual(line)) for line in chords[fit_count:])
     rep.check("holdout_tangency", worst, tangency_tol)
     rep.details["envelope_rank"] = fit.line_rank
-    if a.d <= _CONCENTRIC_EPS * a.R:
+    if a.d <= _CONCENTRIC_EPS * a.R and \
+            abs(a.R - 3.0 * a.r) <= _CONCENTRIC_EPS * a.R:
         rep.flag("degenerate_envelope_rank2", fit.line_rank == 2)
         if fit.envelope_point is None:
             rep.check("envelope_at_center", math.inf, center_tol * a.R)

@@ -4,16 +4,17 @@ import math
 
 import pytest
 
+from closurelab import _kernels as kern
 from closurelab.chains import (
     ChainRun,
     ChordElement,
     CircleElement,
     Word,
+    closure_sweep,
     is_closure_config,
     monodromy_defect,
     run_chain,
     seed_element,
-    step,
 )
 from closurelab.conics import centers_ellipse, chord_through_centers, fit_dual_conic
 from closurelab.errors import (
@@ -36,7 +37,14 @@ CONCENTRIC_S3 = Annulus.canonical(2.0, 1.0, 0.0)
 
 
 def advance(e_from, e_to):
-    return (e_to.progress - e_from.progress) % TWO_PI
+    return (e_to.omega_contact - e_from.omega_contact) % TWO_PI
+
+
+def world_annulus(r, d, beta):
+    """Annulus of outer radius 1 about (2, -1), inner centre at angle beta."""
+    return Annulus(Circle(Point(2.0, -1.0), 1.0),
+                   Circle(Point(2.0 + d * math.cos(beta),
+                                -1.0 + d * math.sin(beta)), r))
 
 
 class TestWord:
@@ -55,19 +63,6 @@ class TestWord:
         assert w.letter(4) == "c"
         assert w.letter(-1) == "s"
 
-    def test_flagging(self):
-        assert Word("cc").flagged
-        assert Word("ss").flagged
-        assert not Word("cs").flagged
-        assert not Word("sc").flagged
-        assert not Word("ccc").flagged
-        assert not Word("cscs").flagged
-
-    def test_rotation(self):
-        w = Word("ccss")
-        assert w.rotated(1).letters == "cssc"
-        assert w.rotated(4).letters == "ccss"
-        assert w.rotated(-1).letters == "sccs"
 
 
 class TestSeeds:
@@ -77,7 +72,6 @@ class TestSeeds:
         assert e.circle.center.x == pytest.approx(2.0)
         assert e.circle.center.y == pytest.approx(0.0, abs=1e-12)
         assert e.circle.radius == pytest.approx(1.0)
-        assert e.outer_contact == pytest.approx(0.0, abs=1e-12)
         assert e.entry_point is None
 
     def test_concentric_chord_seed(self):
@@ -102,10 +96,13 @@ class TestSeeds:
 
 
 class TestSteps:
+    """Single steps, read off the first two elements of two-letter runs."""
+
     def test_circle_to_circle_concentric_advance(self):
         # tangent inscribed neighbours: central angle 2*arcsin((R-r)/(R+r))
-        e = seed_element(CONCENTRIC_CS2, "c", 0.0)
-        nxt = step(CONCENTRIC_CS2, e, "c")
+        run = run_chain(CONCENTRIC_CS2, Word("cc"),
+                        seed_element(CONCENTRIC_CS2, "c", 0.0))
+        e, nxt = run.elements[:2]
         assert advance(e, nxt) == pytest.approx(math.pi / 3.0)
         gap = nxt.circle.center.distance(e.circle.center) \
             - nxt.circle.radius - e.circle.radius
@@ -113,8 +110,9 @@ class TestSteps:
 
     def test_chord_to_chord_concentric_advance(self):
         # tangent-chord rotation 2*arccos(r/R); R = 2r gives 2*pi/3
-        e = seed_element(CONCENTRIC_S3, "s", -math.pi / 2.0)
-        nxt = step(CONCENTRIC_S3, e, "s")
+        run = run_chain(CONCENTRIC_S3, Word("ss"),
+                        seed_element(CONCENTRIC_S3, "s", -math.pi / 2.0))
+        e, nxt = run.elements[:2]
         assert advance(e, nxt) == pytest.approx(2.0 * math.pi / 3.0)
         # common endpoint
         d = min(nxt.entry_point.distance(p)
@@ -125,15 +123,15 @@ class TestSteps:
         # the two tangents touch at +-arccos((r-rho)/(r+rho)) around the
         # circle's progress; R = 3r makes that angle pi/2
         e = seed_element(CONCENTRIC_CS2, "c", 0.0)
-        plus = step(CONCENTRIC_CS2, e, "s", orientation=1)
-        minus = step(CONCENTRIC_CS2, e, "s", orientation=-1)
-        assert advance(e, plus) == pytest.approx(math.pi / 2.0)
-        assert advance(minus, e) == pytest.approx(math.pi / 2.0)
+        plus = run_chain(CONCENTRIC_CS2, Word("cs"), e, orientation=1)
+        minus = run_chain(CONCENTRIC_CS2, Word("cs"), e, orientation=-1)
+        assert advance(e, plus.elements[1]) == pytest.approx(math.pi / 2.0)
+        assert advance(minus.elements[1], e) == pytest.approx(math.pi / 2.0)
 
     def test_chord_to_circle_tangency(self):
         a = Annulus.canonical(1.0, 0.2, 0.5)
-        e = seed_element(a, "s", 1.1)
-        nxt = step(a, e, "c")
+        run = run_chain(a, Word("sc"), seed_element(a, "s", 1.1))
+        e, nxt = run.elements[:2]
         assert isinstance(nxt, CircleElement)
         assert abs(e.chord.line.signed_distance(nxt.circle.center)
                    - nxt.circle.radius) < 1e-9
@@ -141,14 +139,14 @@ class TestSteps:
         assert abs(e.chord.line.signed_distance(nxt.entry_point)) < 1e-9
 
     def test_orientation_only_matters_at_seed(self):
-        a = Annulus.canonical(1.0, 0.25, 0.3)
-        e = seed_element(a, "c", 0.7)
-        n1 = step(a, e, "s", orientation=1)
+        R, r, d = 1.0, 0.25, 0.3
+        status, _, elems = kern.chain_run(R, r, d, "cs", 0.7, 1)
+        assert status == kern.OK
         # once an entry point exists the successor is forced
-        m1 = step(a, n1, "c", orientation=1)
-        m2 = step(a, n1, "c", orientation=-1)
-        assert m1.progress == pytest.approx(m2.progress)
-        assert m1.circle.radius == pytest.approx(m2.circle.radius)
+        s1, m1 = kern.step_element(R, r, d, elems[1], "c", 1)
+        s2, m2 = kern.step_element(R, r, d, elems[1], "c", -1)
+        assert s1 == s2 == kern.OK
+        assert m1 == m2
 
 
 class TestRunChain:
@@ -176,6 +174,13 @@ class TestRunChain:
         with pytest.raises(DomainError):
             run_chain(CONCENTRIC_CS2, Word("cscs"),
                       seed_element(CONCENTRIC_CS2, "s", 0.0))
+
+    def test_seed_with_entry_point_rejected(self):
+        seed = seed_element(CONCENTRIC_CS2, "c", 0.0)
+        entered = CircleElement(seed.circle, seed.omega_contact,
+                                entry_point=Point(3.0, 0.0))
+        with pytest.raises(DomainError):
+            run_chain(CONCENTRIC_CS2, Word("cscs"), entered)
 
     def test_entry_points_chain_through(self):
         run = run_chain(CONCENTRIC_CS2, Word("cscs"),
@@ -269,6 +274,14 @@ class TestClosureVerdicts:
         assert is_closure_config(a, Word("cscs"), 64,
                                  tol=math.pi) == "closed-everywhere"
 
+    def test_sweep_counts_dead_seeds(self):
+        # inner circle 1e-7 from the outer one: one of 8 ccs seeds dies
+        dead = Annulus.canonical(1.0, 0.5, 0.4999999)
+        sweep = closure_sweep(dead, Word("ccs"), 8)
+        assert sweep.dead == 1
+        assert sweep.verdict == "closed-nowhere"
+        assert closure_sweep(CONCENTRIC_CS2, Word("cscs"), 8).dead == 0
+
     def test_grid_size_guard(self):
         with pytest.raises(DomainError):
             is_closure_config(CONCENTRIC_CS2, Word("cscs"), 4)
@@ -313,8 +326,8 @@ class TestReversibility:
         back_seed = seed_element(a, fwd.elements[-1].letter,
                                  fwd.elements[-1].omega_contact)
         back = run_chain(a, back_word, back_seed, orientation=-1)
-        gap = math.remainder(back.elements[-1].progress
-                             - fwd.elements[0].progress, TWO_PI)
+        gap = math.remainder(back.elements[-1].omega_contact
+                             - fwd.elements[0].omega_contact, TWO_PI)
         assert abs(gap) < 1e-8
 
 
@@ -334,14 +347,12 @@ class TestErrors:
         assert info.value.elements == []
 
     def test_tie_on_contact_at_divider(self):
-        # entry placed exactly at the circle's outer-tangency point makes
-        # the separation test degenerate
-        seed = seed_element(CONCENTRIC_CS2, "c", 0.0)
-        rigged = CircleElement(seed.circle, seed.omega_contact,
-                               seed.outer_contact,
-                               entry_point=Point(3.0, 0.0))
-        with pytest.raises(TieError):
-            step(CONCENTRIC_CS2, rigged, "s")
+        # entry placed exactly at the circle's outer-tangency point (3, 0)
+        # makes the separation test degenerate
+        seed = kern.seed_element(3.0, 1.0, 0.0, "c", 0.0)
+        rigged = seed[:5] + (3.0, 0.0, 1)
+        assert kern.step_element(3.0, 1.0, 0.0, rigged, "s") == \
+            (kern.TIE, None)
 
     def test_chain_error_is_value_error(self):
         assert issubclass(ChainError, ValueError)
@@ -354,14 +365,27 @@ class TestFrameEquivariance:
         beta = 0.7
         d = math.sqrt(0.48)
         canonical = Annulus.canonical(1.0, 0.2, d)
-        outer = Circle(Point(2.0, -1.0), 1.0)
-        inner = Circle(Point(2.0 + d * math.cos(beta),
-                             -1.0 + d * math.sin(beta)), 0.2)
-        world = Annulus(outer, inner)
+        world = world_annulus(0.2, d, beta)
         for theta in (0.2, 1.5, 4.0):
             d1 = monodromy_defect(canonical, Word("cscs"), theta)
             d2 = monodromy_defect(world, Word("cscs"), theta + beta)
             assert d1 == pytest.approx(d2, abs=1e-12)
+
+
+class TestOneChainLoop:
+    @pytest.mark.parametrize("letters", ["cscs", "ccs", "sss", "cccs", "scsc"])
+    def test_run_defect_is_the_monodromy_defect(self, letters):
+        # run_chain and monodromy_defect share the kernel loop, so their
+        # defects agree exactly in every frame
+        w = Word(letters)
+        for beta in (0.3, 0.7, 2.0, -1.1, 3.0):
+            for d in (0.0, 0.1, 0.3, 0.55):
+                a = world_annulus(0.2, d, beta)
+                for theta in (0.0, 1.3, 2.6, 4.0, 5.5):
+                    seed = seed_element(a, w.letter(0), theta)
+                    run = run_chain(a, w, seed)
+                    assert run.defect == monodromy_defect(
+                        a, w, seed.omega_contact)
 
 
 class TestPoncletReduction:

@@ -21,6 +21,17 @@ def run_cli(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+def usage_error(capsys, *argv):
+    """The report of a command line that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["flags"] == {"valid_input": False}
+    assert rep["verified"] is False
+    return rep
+
+
 class TestVerifyCommand:
     def test_locus_annulus_verifies(self, capsys):
         code, rep = run_cli(capsys, "verify", "t1",
@@ -50,10 +61,10 @@ class TestVerifyCommand:
             assert code == 0, theorem
             assert rep["verified"] is True, theorem
 
-    def test_unknown_statement_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "t9"])
-        assert exc.value.code == 2
+    def test_unknown_statement_rejected(self, capsys):
+        rep = usage_error(capsys, "verify", "t9")
+        assert rep["command"] == "verify"
+        assert "invalid choice: 't9'" in rep["details"]["error"]
 
     def test_invalid_annulus_is_a_usage_error(self, capsys):
         code, rep = run_cli(capsys, "verify", "t1",
@@ -123,8 +134,6 @@ class TestEdgeValues:
         (["chain", "--R", "1e100", "--r", "1e-250", "--d", "0"], 2),
         # a dead seed: the check value is inf and fails
         (["verify", "t1", "--R", "1", "--r", "0.5", "--d", "0.4999999"], 1),
-        # no envelope point on a concentric annulus with R != 3r
-        (["verify", "t4", "--R", "1", "--r", "0.25", "--d", "0"], 1),
     ])
     def test_one_report_and_a_table_exit_code(self, capsys, argv, want):
         code = main(argv)
@@ -325,6 +334,20 @@ class TestTopLevel:
             main(["--version"])
         assert exc.value.code == 0
         assert "closurelab" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,command", [
+        (["verify", "t1", "--R"], "verify"),
+        (["chain", "--R", "abc"], "chain"),
+        ([], "closurelab"),
+    ])
+    def test_usage_error_prints_a_report(self, capsys, argv, command):
+        assert usage_error(capsys, *argv)["command"] == command
+
+    def test_help_is_not_a_report(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: closurelab verify")
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit) as exc:

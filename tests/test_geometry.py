@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from closurelab.chains import Word, run_chain, seed_element
 from closurelab.errors import DegeneracyError, DomainError
 from closurelab.geometry import (
     Annulus,
@@ -16,23 +17,16 @@ from closurelab.geometry import (
     Theorem1Scalars,
     chord_at,
     closure_criterion_residual,
-    common_external_tangents,
     euler_like_residual,
     external_similitude_center,
     inscribed_circle_at,
     inscribed_circles_tangent_to_line,
-    internal_similitude_center,
     segment_inscribed_radius,
-    steiner_neighbors,
-    tangent_line_at,
-    tangent_lines_from_point,
     theorem1_radii,
     theorem2_frame,
     theorem2_meeting_point,
     wrap_pi,
 )
-
-SQRT3 = math.sqrt(3.0)
 
 
 def random_annulus(rng, R=3.1, r=0.8):
@@ -117,76 +111,7 @@ class TestAnnulus:
         assert a.axis_angle == pytest.approx(math.pi / 2.0)
 
 
-class TestTangentLines:
-    def test_tangent_line_at_keeps_center_positive(self):
-        c = Circle(Point(2.0, -1.0), 1.5)
-        for theta in (0.0, 0.9, 2.4, 4.4):
-            line = tangent_line_at(c, theta)
-            assert line.signed_distance(c.center) == pytest.approx(1.5)
-            assert line.signed_distance(c.point_at(theta)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_exterior_point_two_tangents(self):
-        c = Circle(Point(0.0, 0.0), 1.0)
-        lines = tangent_lines_from_point(Point(2.0, 0.0), c)
-        assert len(lines) == 2
-        feet = sorted((line.foot(c.center) for line in lines), key=lambda p: p.y)
-        assert feet[0].x == pytest.approx(0.5)
-        assert feet[0].y == pytest.approx(-SQRT3 / 2.0)
-        assert feet[1].y == pytest.approx(SQRT3 / 2.0)
-        for line in lines:
-            assert abs(line.signed_distance(Point(2.0, 0.0))) < 1e-12
-
-    def test_boundary_point_single_tangent(self):
-        c = Circle(Point(0.0, 0.0), 1.0)
-        lines = tangent_lines_from_point(Point(0.0, 1.0), c)
-        assert len(lines) == 1
-        assert lines[0].signed_distance(c.center) == pytest.approx(1.0)
-
-    def test_interior_point_no_tangent(self):
-        c = Circle(Point(0.0, 0.0), 1.0)
-        assert tangent_lines_from_point(Point(0.3, 0.2), c) == []
-
-
-class TestCommonTangents:
-    def test_general_position_pair(self):
-        c1 = Circle(Point(0.0, 0.0), 1.0)
-        c2 = Circle(Point(3.0, 0.0), 2.0)
-        lines = common_external_tangents(c1, c2)
-        assert len(lines) == 2
-        for line in lines:
-            assert line.signed_distance(c1.center) == pytest.approx(1.0)
-            assert line.signed_distance(c2.center) == pytest.approx(2.0)
-            # both pass through the external similitude centre (-3, 0)
-            assert abs(line.signed_distance(Point(-3.0, 0.0))) < 1e-12
-
-    def test_equal_radii_parallel_pair(self):
-        c1 = Circle(Point(0.0, 0.0), 1.0)
-        c2 = Circle(Point(3.0, 0.0), 1.0)
-        lines = common_external_tangents(c1, c2)
-        assert len(lines) == 2
-        for line in lines:
-            assert abs(line.nx) < 1e-12
-            assert line.signed_distance(c1.center) == pytest.approx(1.0)
-            assert line.signed_distance(c2.center) == pytest.approx(1.0)
-
-    def test_containment_yields_none(self):
-        c1 = Circle(Point(0.0, 0.0), 3.0)
-        c2 = Circle(Point(0.5, 0.0), 1.0)
-        assert common_external_tangents(c1, c2) == []
-
-    def test_coincident_equal_circles_degenerate(self):
-        c = Circle(Point(0.0, 0.0), 1.0)
-        with pytest.raises(DegeneracyError):
-            common_external_tangents(c, Circle(Point(0.0, 0.0), 1.0))
-
-
 class TestSimilitudeCenters:
-    def test_internal_divides_by_radii(self):
-        p = internal_similitude_center(Circle(Point(0.0, 0.0), 1.0),
-                                       Circle(Point(3.0, 0.0), 2.0))
-        assert p.x == pytest.approx(1.0)
-        assert p.y == pytest.approx(0.0)
-
     def test_external_divides_by_radii(self):
         p = external_similitude_center(Circle(Point(0.0, 0.0), 1.0),
                                        Circle(Point(3.0, 0.0), 2.0))
@@ -357,11 +282,19 @@ class TestLineTangentCircles:
 
 
 class TestSteinerNeighbors:
+    """The two tangent inscribed neighbours, as the successors a cc run
+    takes in either orientation."""
+
+    @staticmethod
+    def neighbors(a, theta):
+        seed = seed_element(a, "c", theta)
+        return seed.circle, [
+            run_chain(a, Word("cc"), seed, orientation=o).elements[1].circle
+            for o in (1, -1)]
+
     def test_concentric_angles(self):
         a = Annulus.canonical(3.0, 1.0, 0.0)
-        c0 = inscribed_circle_at(a, 0.0)
-        nbrs = steiner_neighbors(a, c0)
-        assert len(nbrs) == 2
+        _, nbrs = self.neighbors(a, 0.0)
         angles = sorted(math.atan2(n.center.y, n.center.x) for n in nbrs)
         expect = 2.0 * math.asin((a.R - a.r) / (a.R + a.r))
         assert angles[0] == pytest.approx(-expect)
@@ -371,15 +304,10 @@ class TestSteinerNeighbors:
         rng = random.Random(23)
         for _ in range(10):
             a = random_annulus(rng)
-            c0 = inscribed_circle_at(a, rng.uniform(0.0, 2.0 * math.pi))
-            for n in steiner_neighbors(a, c0):
+            c0, nbrs = self.neighbors(a, rng.uniform(0.0, 2.0 * math.pi))
+            for n in nbrs:
                 gap = n.center.distance(c0.center) - (n.radius + c0.radius)
                 assert gap == pytest.approx(0.0, abs=1e-9)
-
-    def test_rejects_non_inscribed_circle(self):
-        a = Annulus.canonical(3.0, 1.0, 0.0)
-        with pytest.raises(DomainError):
-            steiner_neighbors(a, Circle(Point(1.5, 0.0), 0.4))
 
 
 class TestSegmentRadius:
@@ -446,6 +374,11 @@ class TestAlignedFrame:
         assert c.radius == pytest.approx(a.r, abs=1e-9)
         m = theorem2_meeting_point(a, c)
         assert isinstance(m, AtInfinity)
+
+    def test_meeting_point_rejects_non_inscribed_circle(self):
+        a = Annulus.canonical(3.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            theorem2_meeting_point(a, Circle(Point(1.5, 0.0), 0.4))
 
     def test_invalid_ratio(self):
         with pytest.raises(DomainError):

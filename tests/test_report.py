@@ -27,8 +27,8 @@ class TestSceneConfig:
         assert cfg.theta0 == 0.0
         assert (cfg.nr, cfg.nd, cfg.thetas) == (64, 64, 64)
         assert cfg.tol is None
-        assert (cfg.degree, cfg.max_len, cfg.power, cfg.workers) == \
-            (2, 4, 2, 1)
+        assert (cfg.degree, cfg.max_len, cfg.workers) == (2, 4, 1)
+        assert len(SceneConfig.field_names()) == 12
 
     def test_load_without_sources_is_default(self):
         assert SceneConfig.load() == SceneConfig()

@@ -18,11 +18,9 @@ from closurelab.search import (
     CELL_OK,
     DefectGrid,
     ZeroLocus,
-    canonical_word,
     certify_closure_sequence,
     enumerate_words,
     fit_relation,
-    power_word_test,
     scan_defect,
     trace_zero_locus,
 )
@@ -299,14 +297,15 @@ class TestEnumeration:
         assert count == dihedral_class_count(n)
 
     def test_rotation_and_reversal_share_a_canonical_word(self):
-        assert canonical_word(Word("scsc")).letters == "cscs"
+        reps = {w.letters for w in enumerate_words(9) if len(w) == 9}
         rng = np.random.default_rng(11)
         for _ in range(20):
             letters = "".join(rng.choice(["c", "s"], size=9))
-            base = canonical_word(Word(letters))
-            for k in range(9):
-                assert canonical_word(Word(letters[k:] + letters[:k])) == base
-            assert canonical_word(Word(letters[::-1])) == base
+            orbit = {v[k:] + v[:k] for v in (letters, letters[::-1])
+                     for k in range(9)}
+            # every rotation and the reversal map to one representative,
+            # the smallest word of the orbit
+            assert orbit & reps == {min(orbit)}
 
     def test_length_bounds_enforced(self):
         with pytest.raises(DomainError):
@@ -352,38 +351,31 @@ class TestRelationFit:
             fit_relation(locus("cscs"), 0)
 
 
+def certify_on(w: Word, points: ZeroLocus, thetas: int = 16) -> bool:
+    """Whether w closes everywhere at every point of a traced locus."""
+    on = ZeroLocus(w, points.points, points.component_offsets)
+    return certify_closure_sequence(w, on, thetas).certified
+
+
 class TestPowerWords:
     def test_chord_triple_power_closes_on_the_base_locus(self):
-        rep = power_word_test(Word("sss"), 2, grid("sss", 32), thetas=16)
-        assert rep.power_word.letters == "ssssss"
-        assert rep.base_report.certified
-        assert rep.power_report is not None and rep.power_report.certified
-        assert rep.base_locus_closed_under_power
-        assert rep.base_counterexamples == ()
+        base = locus("sss", 32)
+        power = Word("ssssss")
+        assert certify_on(Word("sss"), base)
+        assert certify_on(power, trace_zero_locus(power, grid("ssssss", 32)))
+        assert certify_on(power, base)
 
     def test_mixed_pair_power_gains_a_new_concentric_family(self):
-        rep = power_word_test(Word("cscs"), 2, grid("cscs", 32), thetas=16)
-        assert rep.base_report.certified
-        assert rep.power_report is not None and rep.power_report.certified
+        base = locus("cscs", 32)
+        power = Word("cscscscs")
+        power_locus = trace_zero_locus(power, grid("cscscscs", 32))
+        assert certify_on(Word("cscs"), base)
+        assert certify_on(power, power_locus)
         # the doubled word closes wherever the base word does...
-        assert rep.base_locus_closed_under_power
+        assert certify_on(power, base)
         # ...but its own locus reaches a second concentric closure point
-        base_axis = [r for r, d in rep.base_report.locus.points if d == 0.0]
-        power_axis = [r for r, d in rep.power_locus.points if d == 0.0]
+        base_axis = [r for r, d in base.points if d == 0.0]
+        power_axis = [r for r, d in power_locus.points if d == 0.0]
         fresh = 1.0 / (7.0 + 4.0 * math.sqrt(2.0))
         assert min(abs(r - fresh) for r in power_axis) < 1e-6
         assert min(abs(r - fresh) for r in base_axis) > 0.1
-
-    def test_identity_power_reuses_the_base_report(self):
-        rep = power_word_test(Word("sss"), 1, grid("sss", 32), thetas=16)
-        assert rep.power_report is rep.base_report
-        assert rep.base_locus_closed_under_power == rep.base_report.certified
-
-    def test_bad_power_rejected(self):
-        with pytest.raises(DomainError):
-            power_word_test(Word("sss"), 0, grid("sss", 32))
-
-    def test_word_without_locus_rejected(self):
-        g = scan_defect(Word("cs"), 16, 16)
-        with pytest.raises(DomainError):
-            power_word_test(Word("cs"), 2, g)

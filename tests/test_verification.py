@@ -12,7 +12,6 @@ from closurelab.verification import (
     chain_center_sides,
     fitted_gamma,
     frame_ratio,
-    max_seed_defect,
     verify_sangaku,
     verify_t1,
     verify_t2,
@@ -52,6 +51,18 @@ class TestVerifyT1:
         assert rep.checks["corollary_residual"]["value"] == \
             pytest.approx(0.25)
         assert rep.checks["chain_defect"]["passed"] is False
+
+    def test_dead_seed_makes_the_chain_defect_inf(self):
+        # inner circle 1e-7 from the outer one: one of 8 cscs seeds dies
+        dead = Annulus.canonical(1.0, 0.5, 0.4999999)
+        rep = verify_t1(dead, seeds=8, scalar_samples=10)
+        assert rep.checks["chain_defect"]["value"] == math.inf
+        assert rep.checks["chain_defect"]["passed"] is False
+
+    def test_needs_eight_seeds(self):
+        for seeds in (0, -5, 7):
+            with pytest.raises(DomainError):
+                verify_t1(GENERIC, seeds=seeds, scalar_samples=10)
 
     def test_product_law_scale_invariance(self):
         rep = verify_t1(Annulus.canonical(30.0, 10.0, 0.0),
@@ -108,16 +119,6 @@ class TestCenterChords:
     def test_fitted_gamma_degenerates_on_the_locus(self):
         assert fitted_gamma(locus_annulus(0.2)) is None
 
-    def test_max_seed_defect_reports_dead_seeds(self):
-        # inner circle 1e-7 from the outer one: ccs dies from theta 0
-        dead = Annulus.canonical(1.0, 0.5, 0.4999999)
-        assert max_seed_defect(dead, Word("ccs"), 8) == math.inf
-
-    def test_max_seed_defect_needs_eight_seeds(self):
-        for seeds in (0, -5, 7):
-            with pytest.raises(DomainError):
-                max_seed_defect(GENERIC, Word("cscs"), seeds)
-
 
 class TestVerifyT3T4T5:
     ANNULI = [Annulus.canonical(1.0, 0.25, 0.3),
@@ -156,6 +157,15 @@ class TestVerifyT3T4T5:
         assert rep.checks["envelope_at_center"]["value"] < 1e-12
         assert rep.checks["envelope_at_center"]["tolerance"] == \
             pytest.approx(1e-9 * 3.0)
+
+    def test_concentric_envelope_is_a_circle_off_r_equals_three(self):
+        # at d = 0 the envelope is the circle of radius |R - 3r|/2, so the
+        # point-envelope checks apply only at R = 3r
+        rep = verify_t4(Annulus.canonical(1.0, 0.25, 0.0))
+        assert rep.verified is True
+        assert rep.details["envelope_rank"] == 3
+        assert "envelope_at_center" not in rep.checks
+        assert "degenerate_envelope_rank2" not in rep.flags
 
     def test_locus_family_is_concurrent_at_inner_center(self):
         # closed pair chains send every center chord through I
