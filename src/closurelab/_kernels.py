@@ -14,9 +14,15 @@ omega_angle is the angle, seen from the inner centre, of the element's
 tangency point on the inner circle; it is the chain's progress coordinate.
 The entry fields hold the element's contact point with its predecessor
 (has_entry == 0 for seeds).
+
+chain_defect_many runs many chains of one word in lockstep on NumPy
+arrays, one lane per chain, under the same rules; the scalar functions
+stay for single chains and as its oracle.
 """
 
 import math
+
+import numpy as np
 
 BACKEND = "python"
 
@@ -307,3 +313,182 @@ def chain_defect(R, r, d, word, theta0, orientation=1):
     if status != OK:
         return status, 0.0
     return OK, wrap_pi(elems[-1][1] - elems[0][1])
+
+
+# ---------------------------------------------------------------------------
+# lockstep kernel: one lane per chain, all lanes running the same word
+
+def wrap_2pi_many(x):
+    """wrap_2pi on an array, with the same arithmetic."""
+    y = x - np.floor(x / TWO_PI) * TWO_PI
+    return np.where(y >= TWO_PI, y - TWO_PI, y)
+
+
+def _wrap_pi_many(x):
+    y = wrap_2pi_many(x)
+    return np.where(y > math.pi, y - TWO_PI, y)
+
+
+def _half_angle_roots_many(a, b, c):
+    q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+    return 2.0 * np.arctan(q / a), 2.0 * np.arctan(c / q)
+
+
+def _inscribed_center_many(R, r, d, alpha):
+    ca = np.cos(alpha)
+    rho = ((R * R - d * d - r * r - 2.0 * r * d * ca)
+           / (2.0 * (R + r + d * ca)))
+    sa = np.sin(alpha)
+    return d + (r + rho) * ca, (r + rho) * sa, rho
+
+
+def _tie_at_divider(p, span):
+    # _sep_circle's test that a contact sits on one of the dividing points
+    return (np.minimum(p, TWO_PI - p) < _ANGLE_TIE) | \
+        (np.abs(p - span) < _ANGLE_TIE)
+
+
+def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
+    """step_element for every lane.  Elements are tuples of arrays laid
+    out as the scalar ones, without has_entry:
+    ('c', omega, x, y, rho, entry_x, entry_y) and
+    ('s', omega, entry_x, entry_y).  Returns (status, next element)."""
+    kind, omega = elem[0], elem[1]
+    if kind == 'c':
+        x1, y1, rho1, ex, ey = elem[2:]
+        if letter == 'c':
+            ca = np.cos(omega)
+            sa = np.sin(omega)
+            rdc = 2.0 * u * e * ca
+            n = 1.0 - e * e - u * u - rdc
+            roots = _half_angle_roots_many(
+                4.0 * u * (1.0 + u) * (1.0 + u - e * e) + rdc * rdc,
+                -4.0 * u * e * n * sa, -n * n)
+            cands = []
+            for g in roots:
+                beta = wrap_2pi_many(omega + g)
+                x2, y2, rho2 = _inscribed_center_many(R, r, d, beta)
+                dist = np.hypot(x2 - x1, y2 - y1)
+                cx = x1 + rho1 * (x2 - x1) / dist
+                cy = y1 + rho1 * (y2 - y1) / dist
+                cands.append((dist != 0.0, ('c', beta, x2, y2, rho2, cx, cy)))
+        else:
+            psi = np.arccos((r - rho1) / (r + rho1))
+            cands = []
+            for phi2 in (wrap_2pi_many(omega + psi),
+                         wrap_2pi_many(omega - psi)):
+                cx = x1 + rho1 * np.cos(phi2)
+                cy = y1 + rho1 * np.sin(phi2)
+                cands.append((True, ('s', phi2, cx, cy)))
+    else:
+        ex, ey = elem[2:]
+        cp = np.cos(omega)
+        sp = np.sin(omega)
+        tx = d + r * cp
+        ty = r * sp
+        cands = []
+        if letter == 'c':
+            n = 1.0 - e * e - u * u - 2.0 * u * e * cp
+            roots = _half_angle_roots_many(2.0 * u * (1.0 + u - e * cp),
+                                           -4.0 * u * e * sp, -n)
+            for g in roots:
+                x2, y2, rho2 = _inscribed_center_many(
+                    R, r, d, wrap_2pi_many(omega + g))
+                cx = x2 + rho2 * cp
+                cy = y2 + rho2 * sp
+                beta = wrap_2pi_many(np.arctan2(y2, x2 - d))
+                cands.append((True, ('c', beta, x2, y2, rho2, cx, cy)))
+        else:
+            # the chord's endpoints, as in chord_points
+            b = tx * (-sp) + ty * cp
+            root = np.sqrt(b * b - (tx * tx + ty * ty - R * R))
+            for s in (-b - root, -b + root):
+                px = tx - s * sp
+                py = ty + s * cp
+                gx = px - d
+                eta = np.arctan2(py, gx)
+                delta = np.arccos(np.minimum(r / np.hypot(gx, py), 1.0))
+                t1 = wrap_2pi_many(eta + delta)
+                t2 = wrap_2pi_many(eta - delta)
+                phi2 = np.where(np.abs(_wrap_pi_many(t1 - omega))
+                                >= np.abs(_wrap_pi_many(t2 - omega)), t1, t2)
+                cands.append((True, ('s', phi2, px, py)))
+
+    if has_entry:
+        if kind == 'c':
+            ta = wrap_2pi_many(omega + math.pi)
+            span = wrap_2pi_many(np.arctan2(y1, x1) - ta)
+            pin = wrap_2pi_many(np.arctan2(ey - y1, ex - x1) - ta)
+            tie_in = _tie_at_divider(pin, span)
+        else:
+            dirx = -sp
+            diry = cp
+            si = dirx * (ex - tx) + diry * (ey - ty)
+            tie_in = np.abs(si) < _SEP_TIE_REL * R
+        tie = False
+        surv = []
+        for valid, cand in cands:
+            cx, cy = cand[-2:]
+            live = valid & ~(np.hypot(cx - ex, cy - ey) < _EXCLUDE_REL * R)
+            if kind == 'c':
+                pout = wrap_2pi_many(np.arctan2(cy - y1, cx - x1) - ta)
+                ctie = tie_in | _tie_at_divider(pout, span)
+                crosses = (pin < span) != (pout < span)
+            else:
+                so = dirx * (cx - tx) + diry * (cy - ty)
+                ctie = tie_in | (np.abs(so) < _SEP_TIE_REL * R)
+                crosses = si * so < 0.0
+            tie = tie | (live & ctie)
+            surv.append(live & ~ctie & crosses)
+    else:
+        tie = False
+        surv = [np.broadcast_to(c[0], omega.shape) for c in cands]
+
+    (_, e0), (_, e1) = cands
+    off0 = wrap_2pi_many(orientation * (e0[1] - omega))
+    off1 = wrap_2pi_many(orientation * (e1[1] - omega))
+    both = surv[0] & surv[1]
+    take1 = surv[1] & (~surv[0] | (off1 < off0))
+    status = np.where(
+        tie | (both & (np.abs(off1 - off0) < _ANGLE_TIE)), TIE,
+        np.where(surv[0] | surv[1], OK, DEAD_END)).astype(np.int8)
+    nxt = (e0[0],) + tuple(np.where(take1, f1, f0)
+                           for f0, f1 in zip(e0[1:], e1[1:]))
+    return status, nxt
+
+
+def chain_defect_many(R, r, d, word, theta, orientation=1):
+    """chain_defect for many chains of one word, stepped in lockstep.
+
+    R, r, d and theta broadcast to a common shape, one lane per element.
+    Every lane follows the rules of step_element; a lane keeps the status
+    of its first failed step, and lanes that fail or are not annuli go on
+    computing on meaningless values, with floating-point warnings
+    silenced, until the word ends.  Returns (status, defect) arrays of the
+    broadcast shape: int8 status codes, and defects with 0.0 wherever the
+    status is not OK.
+    """
+    R, r, d, theta = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (R, r, d, theta)))
+    shape = R.shape
+    # contiguous copies: NumPy's vectorized loops then treat every lane
+    # alike, whatever the batch size
+    R, r, d, theta = (np.array(v).ravel() for v in (R, r, d, theta))
+    status = np.where((R > 0.0) & (r > 0.0) & (d >= 0.0) & (d + r < R),
+                      OK, BAD_ANNULUS).astype(np.int8)
+    n = len(word)
+    with np.errstate(all='ignore'):
+        u = r / R
+        e = d / R
+        th = wrap_2pi_many(theta)
+        if word[0] == 'c':
+            x, y, rho = _inscribed_center_many(R, r, d, th)
+            elem = ('c', th, x, y, rho, 0.0, 0.0)
+        else:
+            elem = ('s', th, 0.0, 0.0)
+        for i in range(1, n + 1):
+            code, elem = _step_many(R, r, d, u, e, elem, word[i % n],
+                                    i > 1, orientation)
+            status = np.where(status == OK, code, status)
+        defect = np.where(status == OK, _wrap_pi_many(elem[1] - th), 0.0)
+    return status.reshape(shape), defect.reshape(shape)

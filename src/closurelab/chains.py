@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from . import _kernels as kern
 from .errors import ChainError, DeadEndError, DomainError, TieError
@@ -210,34 +212,41 @@ def closure_sweep(a: Annulus, w: Word, grid_size: int = 64,
     has |defect| above 10*tol.  Anything in between is mixed, which signals
     a word without the all-or-nothing property or numerical trouble.
     """
+    return closure_sweeps([a], w, grid_size, tol)[0]
+
+
+def closure_sweeps(annuli: Sequence[Annulus], w: Word, grid_size: int = 64,
+                   tol: float = 1e-8) -> list[SeedSweep]:
+    """closure_sweep of every annulus, with all their seeds in one
+    lockstep kernel call."""
     if grid_size < MIN_SEEDS:
         raise DomainError(f"grid size must be at least {MIN_SEEDS}, "
                           f"got {grid_size}")
-    worst_theta = first_dead = None
-    worst = best = None
-    dead = 0
-    for i in range(grid_size):
-        theta = 2.0 * math.pi * i / grid_size
-        try:
-            gap = abs(monodromy_defect(a, w, theta))
-        except ChainError:
-            if first_dead is None:
-                first_dead = theta
-            dead += 1
-            continue
-        if worst is None or gap > worst:
-            worst_theta, worst = theta, gap
-        if best is None or gap < best:
-            best = gap
-    if worst is None:
-        return SeedSweep(CLOSED_NOWHERE, first_dead, None, dead)
+    thetas = [2.0 * math.pi * i / grid_size for i in range(grid_size)]
+    cols = np.array([[a.R, a.r, a.d, a.axis_angle] for a in annuli]).T
+    R, r, d, axis = (col[:, None] for col in cols)
+    # the seed angles of monodromy_defect, in each annulus's own frame
+    alpha = kern.wrap_2pi_many(np.array(thetas) - axis)
+    status, defect = kern.chain_defect_many(R, r, d, w.letters, alpha)
+    return [_sweep_verdict(thetas, done == kern.OK, np.abs(gaps), tol)
+            for done, gaps in zip(status, defect)]
+
+
+def _sweep_verdict(thetas: list[float], done: np.ndarray, gaps: np.ndarray,
+                   tol: float) -> SeedSweep:
+    dead = len(thetas) - int(np.count_nonzero(done))
+    if dead == len(thetas):
+        return SeedSweep(CLOSED_NOWHERE, thetas[0], None, dead)
+    # the first seed in grid order among those with the largest |defect|
+    k = int(np.argmax(np.where(done, gaps, -np.inf)))
+    worst = float(gaps[k])
     if dead == 0 and worst < tol:
         verdict = CLOSED_EVERYWHERE
-    elif best > 10.0 * tol:
+    elif float(np.min(gaps[done])) > 10.0 * tol:
         verdict = CLOSED_NOWHERE
     else:
         verdict = MIXED
-    return SeedSweep(verdict, worst_theta, worst, dead)
+    return SeedSweep(verdict, thetas[k], worst, dead)
 
 
 def is_closure_config(a: Annulus, w: Word, grid_size: int = 64,

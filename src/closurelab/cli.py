@@ -84,7 +84,6 @@ def _add_flags(parser: argparse.ArgumentParser, *names: str,
         "degree": {"type": int, "help": "total degree of the fitted form"},
         "max-len": {"type": int, "dest": "max_len",
                     "help": "largest word length"},
-        "workers": {"type": int, "help": "parallel scan processes"},
     }
     for name in names:
         parser.add_argument(f"--{name}", **table[name])
@@ -156,7 +155,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     rep = Report("scan", inputs=cfg.as_dict())
-    grid = scan_defect(cfg.word_obj(), cfg.nr, cfg.nd, workers=cfg.workers)
+    grid = scan_defect(cfg.word_obj(), cfg.nr, cfg.nd)
     grid.to_csv(args.out)
     completed = int((grid.status == 0).sum())
     rep.flag("completed", True)
@@ -176,7 +175,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     certified: list[str] = []
     with_locus = 0
     for w in enumerate_words(cfg.max_len):
-        grid = scan_defect(w, cfg.nr, cfg.nd, workers=cfg.workers)
+        grid = scan_defect(w, cfg.nr, cfg.nd)
         locus = trace_zero_locus(w, grid)
         if len(locus) == 0:
             entries.append({"word": w.letters, "outcome": "no-locus"})
@@ -205,7 +204,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     rep = Report("fit", inputs=cfg.as_dict())
     w = cfg.word_obj()
-    grid = scan_defect(w, cfg.nr, cfg.nd, workers=cfg.workers)
+    grid = scan_defect(w, cfg.nr, cfg.nd)
     locus = trace_zero_locus(w, grid)
     fit = fit_relation(locus, cfg.degree)
     payload = relation_payload(fit)
@@ -269,20 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="write the defect grid of a word as CSV",
                        allow_abbrev=False)
-    _add_flags(p, "word", "nr", "nd", "workers", out=True)
+    _add_flags(p, "word", "nr", "nd", out=True)
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("search",
                        help="scan, trace, and certify canonical words",
                        allow_abbrev=False)
-    _add_flags(p, "max-len", "nr", "nd", "thetas", "tol", "workers",
-               out=False)
+    _add_flags(p, "max-len", "nr", "nd", "thetas", "tol", out=False)
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("fit",
                        help="fit a polynomial relation to a word's locus",
                        allow_abbrev=False)
-    _add_flags(p, "word", "degree", "nr", "nd", "workers", out=False)
+    _add_flags(p, "word", "degree", "nr", "nd", out=False)
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("render", help="draw one chain scene as SVG",

@@ -23,8 +23,7 @@ from .geometry import Annulus
 from .search import CertificationReport, RelationFit, ZeroLocus
 
 _FLOAT_KEYS = frozenset({"R", "r", "d", "theta0", "tol"})
-_INT_KEYS = frozenset({"nr", "nd", "thetas", "degree", "max_len",
-                       "workers"})
+_INT_KEYS = frozenset({"nr", "nd", "thetas", "degree", "max_len"})
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class SceneConfig:
     tol: Optional[float] = None
     degree: int = 2
     max_len: int = 4
-    workers: int = 1
 
     @classmethod
     def field_names(cls) -> frozenset[str]:
@@ -155,11 +153,9 @@ class Report:
         }
 
     def golden_view(self) -> dict:
-        """The report without run-dependent fields (timing, worker count)."""
+        """The report without its run-dependent field, the timing."""
         view = self.as_dict()
         del view["timing_s"]
-        view["inputs"] = {k: v for k, v in view["inputs"].items()
-                          if k != "workers"}
         return view
 
     def to_json(self) -> str:

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels as kern
-from .chains import CLOSED_EVERYWHERE, Word, closure_sweep
+from .chains import CLOSED_EVERYWHERE, Word, closure_sweeps
 from .errors import DomainError
 from .geometry import Annulus
 
@@ -86,15 +85,15 @@ class DefectGrid:
 
     def write_csv(self, fh) -> None:
         """Rows r, d, defect in row-major order; markers spell DEAD."""
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["r", "d", "defect"])
+        d_texts = [repr(d) for d in self.d_values]
+        fh.write("r,d,defect\n")
         for i, r in enumerate(self.r_values):
-            for j, d in enumerate(self.d_values):
-                if self.status[i, j] == CELL_OK:
-                    cell = repr(float(self.defect[i, j]))
-                else:
-                    cell = _MARKER
-                writer.writerow([repr(r), repr(d), cell])
+            r_text = repr(r)
+            fh.write("".join(
+                f"{r_text},{d_text},{repr(value) if ok else _MARKER}\n"
+                for d_text, ok, value in zip(d_texts,
+                                             self.status[i] == CELL_OK,
+                                             self.defect[i].tolist())))
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="") as fh:
@@ -140,59 +139,28 @@ class DefectGrid:
         return cls(word, tuple(r_values), tuple(d_values), defect, status)
 
 
-def _scan_rows(args) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One contiguous block of grid rows; must stay picklable."""
-    letters, r_chunk, d_values = args
-    out = []
-    for r in r_chunk:
-        drow = np.full(len(d_values), math.nan)
-        srow = np.empty(len(d_values), dtype=np.int8)
-        for j, d in enumerate(d_values):
-            if d + r >= 1.0:
-                srow[j] = CELL_INVALID
-                continue
-            code, defect = kern.chain_defect(1.0, r, d, letters, 0.0, 1)
-            if code == kern.OK:
-                srow[j] = CELL_OK
-                drow[j] = defect
-            else:
-                srow[j] = CELL_DEAD
-        out.append((drow, srow))
-    return out
-
-
-def scan_defect(w: Word, nr: int, nd: int, workers: int = 1) -> DefectGrid:
+def scan_defect(w: Word, nr: int, nd: int) -> DefectGrid:
     """Defect of w at theta = 0 on an nr-by-nd grid of (r, d) cells.
 
     r is sampled at (i+1)/(nr+1) for i < nr and d at j/nd for j < nd, so
     the d axis starts at the concentric line d = 0 and neither axis
-    touches the degenerate boundary r in {0, 1}.  Cells are distributed
-    over workers in contiguous row blocks and reassembled in index
-    order, which makes the result bit-identical for any worker count.
+    touches the degenerate boundary r in {0, 1}.  All annulus cells run
+    in one lockstep kernel call.
     """
     if nr < _MIN_GRID or nd < _MIN_GRID:
         raise DomainError(f"grid must be at least {_MIN_GRID} per axis, "
                           f"got {nr}x{nd}")
-    if workers < 1:
-        raise DomainError(f"worker count must be positive, got {workers}")
     r_values = tuple((i + 1) / (nr + 1) for i in range(nr))
     d_values = tuple(j / nd for j in range(nd))
-    splits = np.array_split(np.arange(nr), min(workers, nr))
-    chunks = [(w.letters, [r_values[i] for i in block], d_values)
-              for block in splits if len(block)]
-    if workers == 1:
-        blocks = [_scan_rows(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_scan_rows, chunks))
+    r, d = np.meshgrid(r_values, d_values, indexing="ij")
+    valid = d + r < 1.0
+    code, cells = kern.chain_defect_many(1.0, r[valid], d[valid], w.letters,
+                                         0.0)
+    done = code == kern.OK
+    status = np.full((nr, nd), CELL_INVALID, dtype=np.int8)
+    status[valid] = np.where(done, CELL_OK, CELL_DEAD)
     defect = np.full((nr, nd), math.nan)
-    status = np.empty((nr, nd), dtype=np.int8)
-    i = 0
-    for block in blocks:
-        for drow, srow in block:
-            defect[i] = drow
-            status[i] = srow
-            i += 1
+    defect[valid] = np.where(done, cells, math.nan)
     return DefectGrid(w, r_values, d_values, defect, status)
 
 
@@ -238,7 +206,8 @@ def _bisect_edge(letters: str, p_neg, f_neg: float, p_pos, f_pos: float):
 
     Illinois regula falsi: the false-position point of the bracket, with
     the function value of an end kept twice in a row halved so that both
-    ends keep moving.
+    ends keep moving.  The search gives up once no float lies strictly
+    between the ends.
     """
     kept = 0  # +1 when p_pos was kept last time, -1 for p_neg
     for _ in range(_BISECT_MAX):
@@ -261,6 +230,11 @@ def _bisect_edge(letters: str, p_neg, f_neg: float, p_pos, f_pos: float):
                 f_neg *= 0.5
             kept = -1
         if (abs(p_pos[0] - p_neg[0]) + abs(p_pos[1] - p_neg[1])) < 1e-16:
+            return None
+        # an edge across a jump of the defect, not a zero, ends with
+        # adjacent floats, which the width test misses where d is near 1
+        if all(a == b or math.nextafter(a, b) == b
+               for a, b in zip(p_neg, p_pos)):
             return None
     return None
 
@@ -391,19 +365,15 @@ def certify_closure_sequence(w: Word, locus: ZeroLocus, thetas: int = 32,
     """
     if not locus.points:
         raise DomainError("cannot certify an empty locus")
-    verdicts = []
-    flags = []
-    bad = []
-    for r, d in locus.points:
-        sweep = closure_sweep(Annulus.canonical(1.0, r, d), w, thetas, tol)
-        verdicts.append(sweep.verdict)
-        passed = sweep.verdict == CLOSED_EVERYWHERE
-        flags.append(passed)
-        if not passed:
-            bad.append(Counterexample(r, d, sweep.verdict, sweep.theta,
-                                      sweep.defect))
+    sweeps = closure_sweeps([Annulus.canonical(1.0, r, d)
+                             for r, d in locus.points], w, thetas, tol)
+    flags = [sweep.verdict == CLOSED_EVERYWHERE for sweep in sweeps]
+    bad = tuple(Counterexample(r, d, sweep.verdict, sweep.theta, sweep.defect)
+                for (r, d), sweep, passed in zip(locus.points, sweeps, flags)
+                if not passed)
     return CertificationReport(w, locus.with_certification(flags),
-                               tuple(verdicts), all(flags), tuple(bad))
+                               tuple(sweep.verdict for sweep in sweeps),
+                               all(flags), bad)
 
 
 def _dihedral_orbit(letters: str) -> Iterator[str]:

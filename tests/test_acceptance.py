@@ -30,7 +30,9 @@ from closurelab import (
     theorem1_radii,
     trace_zero_locus,
 )
+from closurelab import _kernels as kern
 from closurelab.errors import ChainError
+from closurelab.search import DefectGrid
 from closurelab.verification import (
     verify_sangaku,
     verify_t2,
@@ -302,19 +304,30 @@ def test_criterion_10_search_certifies_the_power_families():
 
 def test_criterion_11_deterministic_artifacts(tmp_path):
     t0 = time.perf_counter()
-    csvs = []
-    for workers, name in (("1", "w1.csv"), ("8", "w8.csv")):
+    runs = []
+    for name in ("a.csv", "b.csv"):
         path = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "closurelab.cli", "scan",
              "--word", "cscs", "--nr", "32", "--nd", "32",
-             "--workers", workers, "--out", str(path)],
+             "--out", str(path)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         rep = json.loads(proc.stdout)
         del rep["timing_s"]
-        del rep["inputs"]["workers"]
-        csvs.append((path.read_bytes(), rep))
+        runs.append((path.read_bytes(), rep))
+    # the same cells scanned one kernel call per cell, in this process
+    grid = scan_defect(PAIR, 32, 32)
+    defect = np.full(grid.shape, math.nan)
+    for i, r in enumerate(grid.r_values):
+        for j, d in enumerate(grid.d_values):
+            if d + r < 1.0:
+                code, value = kern.chain_defect_many(1.0, r, d, "cscs", 0.0)
+                if code == kern.OK:
+                    defect[i, j] = value
+    by_cell = tmp_path / "by_cell.csv"
+    DefectGrid(PAIR, grid.r_values, grid.d_values, defect,
+               grid.status).to_csv(by_cell)
     svgs = []
     for name in ("a.svg", "b.svg"):
         path = tmp_path / name
@@ -325,9 +338,10 @@ def test_criterion_11_deterministic_artifacts(tmp_path):
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         svgs.append(path.read_bytes())
-    ok = (csvs[0][0] == csvs[1][0] and csvs[0][1] == csvs[1][1]
+    ok = (runs[0] == runs[1] and by_cell.read_bytes() == runs[0][0]
           and svgs[0] == svgs[1])
     criterion(11, "artifacts are run-for-run identical", ok,
-              "scan CSV and report identical across 1 and 8 workers, "
-              "render SVG identical across invocations",
+              "scan CSV and report identical across two processes and "
+              "to a cell-by-cell scan, render SVG identical across "
+              "invocations",
               time.perf_counter() - t0)

@@ -3,7 +3,9 @@ root finding."""
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 import bracketed_oracle as oracle
@@ -287,3 +289,61 @@ class TestOracleParity:
         got = sorted(ref.wrap_pi(b - alpha)
                      for b in ref.steiner_pair(R, r, 0.0, alpha))
         assert got == pytest.approx([-step, step], abs=1e-14)
+
+
+# words of the parity tests: every letter pair, lengths 3 to 6
+PARITY_WORDS = ("cccc", "cscs", "ssss", "ccs", "cssc", "sccs", "cscsss")
+
+
+def assert_scalar_parity(R, r, d, word, theta, orientation=1):
+    """chain_defect_many against chain_defect lane by lane: the same
+    status everywhere, defects within 1e-12 where the chain completes.
+    NumPy's vectorized arctan, arctan2, arccos and hypot may differ from
+    libm in the last bit, so equal bits cannot be required."""
+    R, r, d, theta = np.broadcast_arrays(R, r, d, theta)
+    status, defect = ref.chain_defect_many(R, r, d, word, theta, orientation)
+    assert status.dtype == np.int8 and status.shape == R.shape
+    for k in np.ndindex(R.shape):
+        want = ref.chain_defect(float(R[k]), float(r[k]), float(d[k]), word,
+                                float(theta[k]), orientation)
+        assert int(status[k]) == want[0], (word, k)
+        assert abs(float(defect[k]) - want[1]) <= 1e-12, (word, k)
+    return status
+
+
+class TestLockstepParity:
+    @pytest.mark.parametrize("word", PARITY_WORDS)
+    @pytest.mark.parametrize("nr,nd", [(64, 72), (96, 48)])
+    def test_scan_grids(self, word, nr, nd):
+        r = np.array([(i + 1) / (nr + 1) for i in range(nr)])[:, None]
+        d = np.array([j / nd for j in range(nd)])[None, :]
+        status = assert_scalar_parity(1.0, r, d, word, 0.0)
+        # the cells off the annulus triangle are the bad-annulus lanes
+        assert np.array_equal(status == ref.BAD_ANNULUS, r + d >= 1.0)
+
+    @pytest.mark.parametrize("orientation", [1, -1])
+    def test_random_eccentric_annuli(self, orientation):
+        rng = random.Random(41 + orientation)
+        lanes = []
+        for _ in range(3000):
+            R = rng.choice((1.0, 0.37, 3.0, 12.5))
+            r = rng.uniform(0.02, 0.98)
+            d = rng.uniform(0.001, 1.0 - r) * rng.choice((1.0, 0.999999))
+            lanes.append((R, R * r, R * d, rng.uniform(-7.0, 7.0)))
+        R, r, d, theta = (np.array(col) for col in zip(*lanes))
+        for word in PARITY_WORDS:
+            assert_scalar_parity(R, r, d, word, theta, orientation)
+
+    def test_dead_end_and_bad_annulus_lanes(self):
+        # ccs from theta = 0 dies at index 2 when the inner circle is 1e-7
+        # from the outer one; the other lanes are not annuli
+        R = [1.0, 1.0, 1.0, 1.0, 0.0, 1.0]
+        r = [0.5, 0.5, 0.5, 0.0, 0.1, 0.2]
+        d = [0.4999999, 0.3, 0.5, 0.2, 0.0, -0.1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = assert_scalar_parity(R, r, d, "ccs", 0.0)
+        assert status.tolist() == \
+            [ref.DEAD_END, ref.OK] + [ref.BAD_ANNULUS] * 4
+        _, defect = ref.chain_defect_many(R, r, d, "ccs", 0.0)
+        assert defect[0] == 0.0 and defect[2:].tolist() == [0.0] * 4

@@ -27,8 +27,8 @@ class TestSceneConfig:
         assert cfg.theta0 == 0.0
         assert (cfg.nr, cfg.nd, cfg.thetas) == (64, 64, 64)
         assert cfg.tol is None
-        assert (cfg.degree, cfg.max_len, cfg.workers) == (2, 4, 1)
-        assert len(SceneConfig.field_names()) == 12
+        assert (cfg.degree, cfg.max_len) == (2, 4)
+        assert len(SceneConfig.field_names()) == 11
 
     def test_load_without_sources_is_default(self):
         assert SceneConfig.load() == SceneConfig()
@@ -55,11 +55,12 @@ class TestSceneConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"radius": 2.0}))
-        with pytest.raises(DomainError):
-            SceneConfig.load(str(path))
-        with pytest.raises(DomainError):
-            SceneConfig.load(None, {"radius": 2.0})
+        for key in ("radius", "workers"):
+            path.write_text(json.dumps({key: 2}))
+            with pytest.raises(DomainError):
+                SceneConfig.load(str(path))
+            with pytest.raises(DomainError):
+                SceneConfig.load(None, {key: 2})
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -107,7 +108,7 @@ class TestSceneConfig:
             SceneConfig(word="cxc").word_obj()
 
     def test_as_dict_round_trip(self):
-        cfg = SceneConfig(R=2.0, word="sss", workers=4)
+        cfg = SceneConfig(R=2.0, word="sss", max_len=6)
         assert SceneConfig(**cfg.as_dict()) == cfg
 
 
@@ -174,11 +175,11 @@ class TestReport:
         assert data["verified"] is False
 
     def test_golden_view_drops_run_dependent_fields(self):
-        rep = Report("demo", inputs={"R": 3.0, "workers": 8}).finish()
+        rep = Report("demo", inputs={"R": 3.0, "nr": 8}).finish()
         view = rep.golden_view()
         assert "timing_s" not in view
-        assert view["inputs"] == {"R": 3.0}
-        assert rep.as_dict()["inputs"]["workers"] == 8
+        assert view["inputs"] == {"R": 3.0, "nr": 8}
+        assert "timing_s" in rep.as_dict()
 
 
 class TestDiagnosticReport:

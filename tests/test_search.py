@@ -1,15 +1,19 @@
 """Parameter-space search: scans, loci, certification, enumeration, fits."""
 
+import csv
 import io
 import math
+import warnings
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 import pytest
 
+from closurelab import _kernels as kern
 from closurelab.chains import CLOSED_EVERYWHERE, Word, is_closure_config, \
     monodromy_defect
+from closurelab.cli import main
 from closurelab.errors import DomainError
 from closurelab.geometry import Annulus, euler_like_residual
 from closurelab.search import (
@@ -18,6 +22,7 @@ from closurelab.search import (
     CELL_OK,
     DefectGrid,
     ZeroLocus,
+    _bisect_edge,
     certify_closure_sequence,
     enumerate_words,
     fit_relation,
@@ -64,10 +69,6 @@ class TestDefectGrid:
         with pytest.raises(DomainError):
             scan_defect(Word("cscs"), 64, 15)
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(DomainError):
-            scan_defect(Word("cscs"), 16, 16, workers=0)
-
     def test_mismatched_arrays_rejected(self):
         g = grid("cscs", 16)
         with pytest.raises(DomainError):
@@ -113,19 +114,72 @@ class TestScanOracles:
                    for i in crossings)
 
 
-class TestScanDeterminism:
-    def test_grids_identical_across_worker_counts(self):
-        g1 = scan_defect(Word("cscs"), 32, 32, workers=1)
-        g4 = scan_defect(Word("cscs"), 32, 32, workers=4)
-        assert g1 == g4
+def grid_by_cells(w: Word, nr: int, nd: int, rows: bool) -> DefectGrid:
+    """scan_defect's grid from one kernel call per row, or per cell."""
+    g = scan_defect(w, nr, nd)
+    defect = np.full(g.shape, math.nan)
+    status = np.full(g.shape, CELL_INVALID, dtype=np.int8)
+    for i, r in enumerate(g.r_values):
+        cols = [j for j, d in enumerate(g.d_values) if d + r < 1.0]
+        if rows:
+            batches = [cols]
+        else:
+            batches = [[j] for j in cols]
+        for batch in batches:
+            code, cells = kern.chain_defect_many(
+                1.0, r, [g.d_values[j] for j in batch], w.letters, 0.0)
+            for j, c, v in zip(batch, code, cells):
+                status[i, j] = CELL_OK if c == kern.OK else CELL_DEAD
+                defect[i, j] = v if c == kern.OK else math.nan
+    return DefectGrid(w, g.r_values, g.d_values, defect, status)
 
-    def test_csv_bytes_identical_across_worker_counts(self):
-        g1 = scan_defect(Word("ccc"), 24, 24, workers=1)
-        g3 = scan_defect(Word("ccc"), 24, 24, workers=3)
-        buf1, buf3 = io.StringIO(), io.StringIO()
-        g1.write_csv(buf1)
-        g3.write_csv(buf3)
-        assert buf1.getvalue() == buf3.getvalue()
+
+class TestScanDeterminism:
+    def test_grids_identical_across_batch_sizes(self):
+        for letters in ("cscs", "ccs"):
+            g = scan_defect(Word(letters), 32, 32)
+            assert grid_by_cells(Word(letters), 32, 32, rows=True) == g
+            assert grid_by_cells(Word(letters), 32, 32, rows=False) == g
+
+    def test_csv_bytes_identical_across_batch_sizes(self):
+        bufs = []
+        for g in (scan_defect(Word("ccc"), 24, 24),
+                  grid_by_cells(Word("ccc"), 24, 24, rows=True),
+                  grid_by_cells(Word("ccc"), 24, 24, rows=False)):
+            bufs.append(io.StringIO())
+            g.write_csv(bufs[-1])
+        assert bufs[0].getvalue() == bufs[1].getvalue() == bufs[2].getvalue()
+
+
+class TestFloatingPointWarnings:
+    """Lanes that die or are not annuli compute on meaningless values;
+    none of that may surface as a RuntimeWarning."""
+
+    def test_scan_with_dead_and_invalid_cells(self):
+        # the cell r = 232/241, d = 14/375 is 1/90375 from the outer
+        # circle, close enough for its cscs chain to dead-end
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = scan_defect(Word("cscs"), 240, 375)
+        assert np.any(g.status == CELL_DEAD)
+        assert np.any(g.status == CELL_INVALID)
+
+    def test_certify_with_dead_seeds(self):
+        points = ((0.5, 0.4999999), (0.2, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_closure_sequence(
+                Word("ccs"), ZeroLocus(Word("ccs"), points, (0,)), thetas=8)
+        assert not rep.certified
+        assert rep.counterexamples[0].r == 0.5
+
+    def test_search_command(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["search", "--max-len", "4", "--nr", "16",
+                         "--nd", "16", "--thetas", "8"])
+        assert code == 0
+        assert '"certified"' in capsys.readouterr().out
 
 
 class TestCsvRoundTrip:
@@ -152,6 +206,20 @@ class TestCsvRoundTrip:
         assert lines[0] == "r,d,defect"
         assert len(lines) == 1 + 16 * 16
         assert any(line.endswith(",DEAD") for line in lines[1:])
+
+    def test_bytes_match_the_csv_module(self):
+        g = scan_defect(Word("cscs"), 16, 20)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["r", "d", "defect"])
+        for i, r in enumerate(g.r_values):
+            for j, d in enumerate(g.d_values):
+                cell = (repr(float(g.defect[i, j]))
+                        if g.status[i, j] == CELL_OK else "DEAD")
+                writer.writerow([repr(r), repr(d), cell])
+        got = io.StringIO()
+        g.write_csv(got)
+        assert got.getvalue() == want.getvalue()
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -207,6 +275,25 @@ class TestTraceZeroLocus:
         with pytest.raises(DomainError):
             trace_zero_locus(Word("sss"), grid("cscs", 16))
 
+    def test_edge_across_a_jump_gives_up_at_adjacent_floats(self,
+                                                             monkeypatch):
+        # at d near 1 one ulp of d is 1.1e-16, so the refined ends of this
+        # ccc edge meet at adjacent floats without |defect| falling below
+        # LOCUS_TOL; they stop there instead of running out the cap
+        p1, p2 = (0.04, 0.9166666666666666), (0.04, 0.9583333333333334)
+        f1 = kern.chain_defect(1.0, *p1, "ccc", 0.0)[1]
+        f2 = kern.chain_defect(1.0, *p2, "ccc", 0.0)[1]
+        assert f1 < 0.0 < f2 and f2 - f1 < math.pi
+        calls = []
+
+        def counted(*args, chain_defect=kern.chain_defect):
+            calls.append(args)
+            return chain_defect(*args)
+
+        monkeypatch.setattr(kern, "chain_defect", counted)
+        assert _bisect_edge("ccc", p1, f1, p2, f2) is None
+        assert len(calls) <= 64
+
     def test_refinement_moves_points_less_than_a_coarse_cell(self):
         coarse, fine = locus("cscs", 32), locus("cscs", 64)
         diag = math.hypot(1.0 / 33.0, 1.0 / 32.0)
@@ -244,9 +331,10 @@ class TestCertification:
         rep = certify_closure_sequence(Word("ccs"), locus("ccs", 48),
                                        thetas=16)
         for cex in rep.counterexamples[:5]:
-            a = Annulus.canonical(1.0, cex.r, cex.d)
-            gaps = [abs(monodromy_defect(a, Word("ccs"),
-                                         2.0 * math.pi * i / 16))
+            # one kernel call per seed; TestLockstepParity ties the
+            # kernel to the scalar one
+            gaps = [abs(float(kern.chain_defect_many(
+                        1.0, cex.r, cex.d, "ccs", 2.0 * math.pi * i / 16)[1]))
                     for i in range(16)]
             worst = max(range(16), key=lambda i: gaps[i])
             assert cex.theta == 2.0 * math.pi * worst / 16
