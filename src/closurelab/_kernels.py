@@ -318,14 +318,19 @@ def chain_defect(R, r, d, word, theta0, orientation=1):
 # ---------------------------------------------------------------------------
 # lockstep kernel: one lane per chain, all lanes running the same word
 
-def wrap_2pi_many(x):
+# lanes per lockstep pass; every pass holds a few dozen float arrays of
+# this length
+_LANES = 16384
+
+
+def _wrap_2pi_many(x):
     """wrap_2pi on an array, with the same arithmetic."""
     y = x - np.floor(x / TWO_PI) * TWO_PI
     return np.where(y >= TWO_PI, y - TWO_PI, y)
 
 
 def _wrap_pi_many(x):
-    y = wrap_2pi_many(x)
+    y = _wrap_2pi_many(x)
     return np.where(y > math.pi, y - TWO_PI, y)
 
 
@@ -366,7 +371,7 @@ def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
                 -4.0 * u * e * n * sa, -n * n)
             cands = []
             for g in roots:
-                beta = wrap_2pi_many(omega + g)
+                beta = _wrap_2pi_many(omega + g)
                 x2, y2, rho2 = _inscribed_center_many(R, r, d, beta)
                 dist = np.hypot(x2 - x1, y2 - y1)
                 cx = x1 + rho1 * (x2 - x1) / dist
@@ -375,8 +380,8 @@ def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
         else:
             psi = np.arccos((r - rho1) / (r + rho1))
             cands = []
-            for phi2 in (wrap_2pi_many(omega + psi),
-                         wrap_2pi_many(omega - psi)):
+            for phi2 in (_wrap_2pi_many(omega + psi),
+                         _wrap_2pi_many(omega - psi)):
                 cx = x1 + rho1 * np.cos(phi2)
                 cy = y1 + rho1 * np.sin(phi2)
                 cands.append((True, ('s', phi2, cx, cy)))
@@ -393,10 +398,10 @@ def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
                                            -4.0 * u * e * sp, -n)
             for g in roots:
                 x2, y2, rho2 = _inscribed_center_many(
-                    R, r, d, wrap_2pi_many(omega + g))
+                    R, r, d, _wrap_2pi_many(omega + g))
                 cx = x2 + rho2 * cp
                 cy = y2 + rho2 * sp
-                beta = wrap_2pi_many(np.arctan2(y2, x2 - d))
+                beta = _wrap_2pi_many(np.arctan2(y2, x2 - d))
                 cands.append((True, ('c', beta, x2, y2, rho2, cx, cy)))
         else:
             # the chord's endpoints, as in chord_points
@@ -408,17 +413,17 @@ def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
                 gx = px - d
                 eta = np.arctan2(py, gx)
                 delta = np.arccos(np.minimum(r / np.hypot(gx, py), 1.0))
-                t1 = wrap_2pi_many(eta + delta)
-                t2 = wrap_2pi_many(eta - delta)
+                t1 = _wrap_2pi_many(eta + delta)
+                t2 = _wrap_2pi_many(eta - delta)
                 phi2 = np.where(np.abs(_wrap_pi_many(t1 - omega))
                                 >= np.abs(_wrap_pi_many(t2 - omega)), t1, t2)
                 cands.append((True, ('s', phi2, px, py)))
 
     if has_entry:
         if kind == 'c':
-            ta = wrap_2pi_many(omega + math.pi)
-            span = wrap_2pi_many(np.arctan2(y1, x1) - ta)
-            pin = wrap_2pi_many(np.arctan2(ey - y1, ex - x1) - ta)
+            ta = _wrap_2pi_many(omega + math.pi)
+            span = _wrap_2pi_many(np.arctan2(y1, x1) - ta)
+            pin = _wrap_2pi_many(np.arctan2(ey - y1, ex - x1) - ta)
             tie_in = _tie_at_divider(pin, span)
         else:
             dirx = -sp
@@ -431,7 +436,7 @@ def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
             cx, cy = cand[-2:]
             live = valid & ~(np.hypot(cx - ex, cy - ey) < _EXCLUDE_REL * R)
             if kind == 'c':
-                pout = wrap_2pi_many(np.arctan2(cy - y1, cx - x1) - ta)
+                pout = _wrap_2pi_many(np.arctan2(cy - y1, cx - x1) - ta)
                 ctie = tie_in | _tie_at_divider(pout, span)
                 crosses = (pin < span) != (pout < span)
             else:
@@ -445,8 +450,8 @@ def _step_many(R, r, d, u, e, elem, letter, has_entry, orientation):
         surv = [np.broadcast_to(c[0], omega.shape) for c in cands]
 
     (_, e0), (_, e1) = cands
-    off0 = wrap_2pi_many(orientation * (e0[1] - omega))
-    off1 = wrap_2pi_many(orientation * (e1[1] - omega))
+    off0 = _wrap_2pi_many(orientation * (e0[1] - omega))
+    off1 = _wrap_2pi_many(orientation * (e1[1] - omega))
     both = surv[0] & surv[1]
     take1 = surv[1] & (~surv[0] | (off1 < off0))
     status = np.where(
@@ -464,9 +469,10 @@ def chain_defect_many(R, r, d, word, theta, orientation=1):
     Every lane follows the rules of step_element; a lane keeps the status
     of its first failed step, and lanes that fail or are not annuli go on
     computing on meaningless values, with floating-point warnings
-    silenced, until the word ends.  Returns (status, defect) arrays of the
-    broadcast shape: int8 status codes, and defects with 0.0 wherever the
-    status is not OK.
+    silenced, until the word ends.  Lanes run in passes of at most
+    _LANES, so memory stays bounded on large grids.  Returns (status,
+    defect) arrays of the broadcast shape: int8 status codes, and defects
+    with 0.0 wherever the status is not OK.
     """
     R, r, d, theta = np.broadcast_arrays(
         *(np.asarray(v, dtype=float) for v in (R, r, d, theta)))
@@ -474,13 +480,24 @@ def chain_defect_many(R, r, d, word, theta, orientation=1):
     # contiguous copies: NumPy's vectorized loops then treat every lane
     # alike, whatever the batch size
     R, r, d, theta = (np.array(v).ravel() for v in (R, r, d, theta))
+    status = np.empty(R.size, dtype=np.int8)
+    defect = np.empty(R.size)
+    for k in range(0, R.size, _LANES):
+        lanes = slice(k, k + _LANES)
+        status[lanes], defect[lanes] = _lockstep(
+            R[lanes], r[lanes], d[lanes], word, theta[lanes], orientation)
+    return status.reshape(shape), defect.reshape(shape)
+
+
+def _lockstep(R, r, d, word, theta, orientation):
+    """chain_defect_many on one pass of 1-d lane arrays."""
     status = np.where((R > 0.0) & (r > 0.0) & (d >= 0.0) & (d + r < R),
                       OK, BAD_ANNULUS).astype(np.int8)
     n = len(word)
     with np.errstate(all='ignore'):
         u = r / R
         e = d / R
-        th = wrap_2pi_many(theta)
+        th = _wrap_2pi_many(theta)
         if word[0] == 'c':
             x, y, rho = _inscribed_center_many(R, r, d, th)
             elem = ('c', th, x, y, rho, 0.0, 0.0)
@@ -491,4 +508,4 @@ def chain_defect_many(R, r, d, word, theta, orientation=1):
                                     i > 1, orientation)
             status = np.where(status == OK, code, status)
         defect = np.where(status == OK, _wrap_pi_many(elem[1] - th), 0.0)
-    return status.reshape(shape), defect.reshape(shape)
+    return status, defect

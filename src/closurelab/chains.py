@@ -225,9 +225,10 @@ def closure_sweeps(annuli: Sequence[Annulus], w: Word, grid_size: int = 64,
     thetas = [2.0 * math.pi * i / grid_size for i in range(grid_size)]
     cols = np.array([[a.R, a.r, a.d, a.axis_angle] for a in annuli]).T
     R, r, d, axis = (col[:, None] for col in cols)
-    # the seed angles of monodromy_defect, in each annulus's own frame
-    alpha = kern.wrap_2pi_many(np.array(thetas) - axis)
-    status, defect = kern.chain_defect_many(R, r, d, w.letters, alpha)
+    # the seed angles in each annulus's own frame, as in monodromy_defect;
+    # the kernel wraps them to [0, 2*pi)
+    status, defect = kern.chain_defect_many(R, r, d, w.letters,
+                                            np.array(thetas) - axis)
     return [_sweep_verdict(thetas, done == kern.OK, np.abs(gaps), tol)
             for done, gaps in zip(status, defect)]
 

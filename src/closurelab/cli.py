@@ -287,15 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
                        allow_abbrev=False)
     _add_flags(p, "R", "r", "d", "word", "theta0", out=True)
     p.set_defaults(handler=cmd_render)
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the subcommand, not the top level, reports flags it does not know
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     handler: Callable[[argparse.Namespace], int] = args.handler
     inputs = {k: v for k, v in vars(args).items()
-              if k not in {"handler", "command"} and v is not None}
+              if k not in {"handler", "command", "parser"} and v is not None}
     try:
         return handler(args)
     except GeometryError as exc:

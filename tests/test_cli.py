@@ -337,10 +337,10 @@ class TestTopLevel:
         (["verify", "t1", "--R"], "verify"),
         (["chain", "--R", "abc"], "chain"),
         ([], "closurelab"),
-        # there is no --workers flag; the top-level parser reports flags
-        # that no parser knows
+        # there is no --workers flag
         (["scan", "--word", "cscs", "--workers", "2", "--out", "g.csv"],
-         "closurelab"),
+         "scan"),
+        (["verify", "t1", "--nr", "8"], "verify"),
     ])
     def test_usage_error_prints_a_report(self, capsys, argv, command):
         assert usage_error(capsys, *argv)["command"] == command
